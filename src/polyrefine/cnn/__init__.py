@@ -63,7 +63,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "perturbed_polygon",
-    "polygon_classifier",
     "pool_forward",
     "relu",
     "save_dataset",
@@ -78,8 +77,3 @@ __all__ = [
 def classify(net: Network, p: Polygon) -> int:
     """Rasterize and classify; returns the vertex-count label (>= 3)."""
     return net.classify_image(rasterize(p))
-
-
-def polygon_classifier(net: Network):
-    """Classifier closure for the refinement strategies."""
-    return net.classify_polygon

@@ -6,6 +6,7 @@ meshes with hanging nodes rely on them.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -236,64 +237,74 @@ def is_convex(p: Polygon) -> bool:
     return bool(np.all(cross >= -REL_TOL * diameter(p) * np.sqrt(lens + 1e-300)))
 
 
-# 16 probe directions: 8 would stall on ridges of the distance field
-_PROBE_ANGLES = np.pi * np.arange(16) / 8.0
-_PROBE_DIRS = np.column_stack([np.cos(_PROBE_ANGLES), np.sin(_PROBE_ANGLES)])
+def _equidistant_centres(c: np.ndarray, b: np.ndarray, m: int, tri: np.ndarray) -> np.ndarray:
+    """Points (x, y, r) that satisfy the three feature equations of each triple.
 
-
-def _pattern_search(p: Polygon, start, d0: float, step: float, span: float, iters: int = 40):
-    x, best = np.asarray(start, dtype=float), d0
-    stop = 1e-5 * span
-    for _ in range(iters):
-        if step < stop:
-            break  # two decades below the required 1e-3*diameter accuracy
-        cand = x[None, :] + step * _PROBE_DIRS
-        inside = contains_many(p, cand, tol=0.0)
-        if inside.any():
-            d = np.where(inside, distance_to_boundary(p, cand), -np.inf)
-            k = int(np.argmax(d))
-            if d[k] > best:
-                best, x = float(d[k]), cand[k]
-                continue
-        step *= 0.5
-    return best
+    Feature f reads s_f * (|x|^2 - r^2) + c_f . (x, y, r) = b_f: m lines
+    (s = 0), then points (s = 1). Three lines are one linear solve. Else the
+    last feature is a point; subtracting its equation from the other two
+    leaves two planes, whose line of intersection p0 + t * d meets it at the
+    roots of a quadratic in t. Near-singular triples are skipped.
+    """
+    lin, quad = tri[tri[:, 2] < m], tri[tri[:, 2] >= m]
+    lin = lin[np.abs(np.linalg.det(c[lin])) > 1e-12]  # parallel lines: no centre
+    out = [np.linalg.solve(c[lin], b[lin][:, :, None])[:, :, 0]]
+    if len(quad):
+        k, ij = quad[:, 2], quad[:, :2]
+        rows, beta = c[ij] - (ij >= m)[:, :, None] * c[k][:, None, :], b[ij] - (ij >= m) * b[k][:, None]
+        d = np.cross(rows[:, 0], rows[:, 1])
+        ok = (d * d).sum(axis=1) > 1e-24 * (rows * rows).sum(axis=2).prod(axis=1)
+        rows, beta, d, k = rows[ok], beta[ok], d[ok], k[ok]
+        system = np.concatenate([rows, d[:, None, :]], axis=1)  # det = |d|^2
+        p0 = np.linalg.solve(system, np.column_stack([beta, np.zeros(len(d))])[:, :, None])[:, :, 0]
+        sig = np.array([1.0, 1.0, -1.0])  # |x|^2 - r^2
+        qa = (sig * d * d).sum(axis=1)
+        qb = 2.0 * (sig * p0 * d).sum(axis=1) + (c[k] * d).sum(axis=1)
+        qc = (sig * p0 * p0).sum(axis=1) + (c[k] * p0).sum(axis=1) - b[k]
+        q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out += [p0 + t[:, None] * d for t in (q / qa, qc / q)]
+    return np.vstack(out)
 
 
 def inscribed_radius(p: Polygon) -> float:
-    """Radius of the largest inscribed circle, to ~1e-3 * diameter.
+    """Radius of the largest inscribed circle, exact up to rounding.
 
-    Coarse 32x32 grid seed over the bounding box refined by pattern search;
-    non-convex polygons can have several near-tied pockets, so those refine
-    from a few separated seeds.
+    The features are the supporting lines of the edges and the reflex
+    vertices. The distance to the boundary peaks at a vertex of the medial
+    axis, which is equidistant from three features, so the candidates are
+    the equidistant centres of every triple of features. The result is the
+    largest boundary distance of a candidate inside the polygon: a true
+    boundary distance, hence never above the exact radius. Computed in a
+    frame centred on the vertex mean and scaled by the diameter; the cost
+    grows as the cube of the vertex count.
     """
-    lo = p.coords.min(axis=0)
-    hi = p.coords.max(axis=0)
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
-    inside_pts = None
-    for res in (32, 64, 128):
-        gx = lo[0] + (np.arange(res) + 0.5) * (hi[0] - lo[0]) / res
-        gy = lo[1] + (np.arange(res) + 0.5) * (hi[1] - lo[1]) / res
-        pts = np.column_stack([np.repeat(gx, res), np.tile(gy, res)])
-        mask = contains_many(p, pts, tol=0.0)
-        if mask.any():
-            inside_pts = pts[mask]
-            step = span / res
-            break
-    if inside_pts is None:
-        return 0.0
-    d = distance_to_boundary(p, inside_pts)
-    order = np.argsort(-d)
-    seeds = [order[0]]
-    if not is_convex(p):
-        for idx in order[1:]:
-            if len(seeds) >= 4 or d[idx] < 0.6 * d[order[0]]:
-                break
-            pt = inside_pts[idx]
-            if all(np.hypot(*(pt - inside_pts[s])) > 3.0 * step for s in seeds):
-                seeds.append(idx)
-    return max(
-        _pattern_search(p, inside_pts[s], float(d[s]), step, span) for s in seeds
-    )
+    scale = diameter(p)
+    a = (p.coords - p.coords.mean(axis=0)) / scale
+    u = np.concatenate((a[1:], a[:1])) - a
+    u /= np.hypot(u[:, 0], u[:, 1])[:, None]  # unit edge directions
+    up = np.concatenate((u[-1:], u[:-1]))
+    sine = up[:, 0] * u[:, 1] - up[:, 1] * u[:, 0]  # turn at each vertex
+    corner = np.abs(sine) > 1e-12  # collinear edges (an aligned vertex) share one line
+    normal = np.column_stack([-u[corner, 1], u[corner, 0]])
+    reflex = a[sine < -1e-12]
+    m = len(normal)
+    # lines n . x - r = n . a_i (inward unit n), points |x - v|^2 = r^2
+    c = np.zeros((m + len(reflex), 3))
+    c[:m, :2], c[:m, 2], c[m:, :2] = normal, -1.0, -2.0 * reflex
+    b = np.concatenate([(normal * a[corner]).sum(axis=1), -(reflex * reflex).sum(axis=1)])
+    tri = np.array(list(itertools.combinations(range(len(b)), 3)), dtype=np.intp).reshape(-1, 3)
+    # an affine image of p, so simple and CCW: skip the constructor's O(n^2) checks
+    local = object.__new__(Polygon)
+    local.coords = a
+    best, step = 0.0, 1 + 2**18 // len(a)  # bounds the (candidates, edges) arrays
+    for start in range(0, len(tri), step):
+        x = _equidistant_centres(c, b, m, tri[start : start + step])
+        # finite candidates within the diameter of the vertex mean
+        x = x[np.isfinite(x).all(axis=1) & (x[:, 0] ** 2 + x[:, 1] ** 2 <= 1.0), :2]
+        d = distance_to_boundary(local, x[contains_many(local, x, tol=0.0)])
+        best = max(best, float(d.max(initial=0.0)))
+    return scale * best
 
 
 def regular_polygon(n: int, radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> Polygon:

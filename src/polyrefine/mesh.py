@@ -323,7 +323,6 @@ def refine_mesh_report(
     strategy: Strategy | str,
     classifier=None,
     rho: float = 0.5,
-    mode: str = "nearest",
 ) -> tuple[PolyMesh, RefinePassReport]:
     """Refine the marked elements sequentially and restore mesh invariants."""
     marks = sorted(set(int(m) for m in marks))
@@ -334,7 +333,7 @@ def refine_mesh_report(
     strategy_counts: dict[str, int] = {}
     for eid in marks:
         poly = work.polygon(eid)
-        res: RefinementResult = refine_element(poly, strategy, classifier, rho, mode)
+        res: RefinementResult = refine_element(poly, strategy, classifier, rho)
         old_loop = list(work.loops[eid])
         work.replace(eid, res.children)
         for pt in res.new_boundary_points:
@@ -356,9 +355,8 @@ def refine_mesh(
     strategy: Strategy | str,
     classifier=None,
     rho: float = 0.5,
-    mode: str = "nearest",
 ) -> PolyMesh:
-    new_mesh, _ = refine_mesh_report(mesh, marks, strategy, classifier, rho, mode)
+    new_mesh, _ = refine_mesh_report(mesh, marks, strategy, classifier, rho)
     return new_mesh
 
 

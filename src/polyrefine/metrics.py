@@ -1,8 +1,8 @@
 """Per-element quality metrics and mesh-level distribution summaries.
 
 All six metrics are scale independent and take values in [0, 1]. The
-circumscribed radius is approximated by half the element diameter, both in
-the circle ratio and in the normalized point distance.
+inscribed radius is exact; the circumscribed radius is approximated by half
+the element diameter, in the circle ratio and the normalized point distance.
 """
 from __future__ import annotations
 
@@ -50,8 +50,9 @@ def normalized_point_distance(p: Polygon) -> float:
     """Min vertex-pair distance over the approximate circumscribed diameter."""
     d = p.coords[:, None, :] - p.coords[None, :, :]
     dist = np.sqrt((d * d).sum(axis=2))
+    diam = dist.max()  # equals diameter(p)
     np.fill_diagonal(dist, np.inf)
-    return float(dist.min() / diameter(p))
+    return float(dist.min() / diam)
 
 
 def uniformity_factor(polys: list[Polygon]) -> np.ndarray:
@@ -61,9 +62,10 @@ def uniformity_factor(polys: list[Polygon]) -> np.ndarray:
 
 
 def element_metrics(p: Polygon, h: float) -> dict[str, float]:
+    diam = diameter(p)
     return {
-        "UF": diameter(p) / h,
-        "CR": circle_ratio(p),
+        "UF": diam / h,
+        "CR": inscribed_radius(p) / (0.5 * diam),  # circle_ratio(p)
         "APR": area_perimeter_ratio(p),
         "MA": min_angle(p),
         "ER": edge_ratio(p),
@@ -101,11 +103,11 @@ class QualityReport:
 
 def quality_report(polys: list[Polygon], bins: int = 20) -> QualityReport:
     """Evaluate all six metrics on every element of the mesh."""
-    h = max(diameter(p) for p in polys)
     per_metric = {name: np.empty(len(polys)) for name in METRIC_NAMES}
     for i, p in enumerate(polys):
-        for name, val in element_metrics(p, h).items():
+        for name, val in element_metrics(p, 1.0).items():
             per_metric[name][i] = val
+    per_metric["UF"] /= per_metric["UF"].max()  # diameter over h = max diameter
     return QualityReport(per_metric, bins=bins)
 
 

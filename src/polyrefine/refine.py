@@ -150,7 +150,7 @@ def _candidate_points(p: Polygon) -> list[_BoundaryPoint]:
     return out
 
 
-def _refinement_points(p: Polygon, label: int, mode: str = "nearest") -> list[_BoundaryPoint]:
+def _refinement_points(p: Polygon, label: int) -> list[_BoundaryPoint]:
     rep = _representative_indices(p, label)
     rep_pts = p.coords[rep]
     hat_mids = 0.5 * (rep_pts + np.roll(rep_pts, -1, axis=0))
@@ -161,21 +161,15 @@ def _refinement_points(p: Polygon, label: int, mode: str = "nearest") -> list[_B
     chosen: dict[float, _BoundaryPoint] = {}
     for m in hat_mids:
         d_m = np.hypot(cxy[:, 0] - m[0], cxy[:, 1] - m[1])
-        if mode == "nearest":
-            # closest to the representative midpoint, then closest to c_P
-            order = np.lexsort((d_c, d_m))
-        elif mode == "sum":
-            order = np.lexsort((d_c, d_m + d_c))
-        else:
-            raise ValueError(f"unknown proximity mode {mode!r}")
-        bp = cands[int(order[0])]
+        # closest to the representative midpoint, then closest to c_P
+        bp = cands[int(np.lexsort((d_c, d_m))[0])]
         chosen[bp.s] = bp
     return sorted(chosen.values(), key=lambda bp: bp.s)
 
 
-def refinement_points(p: Polygon, label: int, mode: str = "nearest") -> list[Point2]:
+def refinement_points(p: Polygon, label: int) -> list[Point2]:
     """Boundary points acting as edge midpoints of the approximating polygon."""
-    return [bp.point for bp in _refinement_points(p, label, mode)]
+    return [bp.point for bp in _refinement_points(p, label)]
 
 
 def _locate_on_boundary(p: Polygon, pts) -> list[_BoundaryPoint]:
@@ -234,18 +228,18 @@ def _fan_children(p: Polygon, rps: list[_BoundaryPoint]) -> list[list[Point2]]:
 # CNN-enhanced mid-point strategy
 # ---------------------------------------------------------------------------
 
-def refine_cnn_mp(p: Polygon, classifier, mode: str = "nearest") -> RefinementResult:
+def refine_cnn_mp(p: Polygon, classifier) -> RefinementResult:
     """Fan the classifier's refinement points to the centroid."""
     label = int(_as_classifier(classifier)(p))
-    return _refine_fan(p, label, Strategy.CNN_MP, mode)
+    return _refine_fan(p, label, Strategy.CNN_MP)
 
 
-def _refine_fan(p: Polygon, label: int, tag: Strategy, mode: str) -> RefinementResult:
+def _refine_fan(p: Polygon, label: int, tag: Strategy) -> RefinementResult:
     label = max(3, min(label, p.n))
     c = centroid(p)
     if not strictly_inside(p, c):
         return fallback_bisect(p)
-    rps = _refinement_points(p, label, mode)
+    rps = _refinement_points(p, label)
     if len(rps) < 3:
         return fallback_bisect(p)
     try:
@@ -307,19 +301,17 @@ def template_regular(p: Polygon, label: int, pts, rho: float = 0.5) -> Refinemen
     return RefinementResult(children, new_pts, Strategy.CNN_RP)
 
 
-def refine_cnn_rp(
-    p: Polygon, classifier, rho: float = 0.5, mode: str = "nearest"
-) -> RefinementResult:
+def refine_cnn_rp(p: Polygon, classifier, rho: float = 0.5) -> RefinementResult:
     """Dispatch on the predicted label: 3 -> triangles, 4 -> quad fan,
     >= 5 -> inner regular polygon with boundary pentagons."""
     label = int(_as_classifier(classifier)(p))
     label = max(3, min(label, p.n))
     if label == 4:
-        return _refine_fan(p, label, Strategy.CNN_RP, mode)
+        return _refine_fan(p, label, Strategy.CNN_RP)
     c = centroid(p)
     if not strictly_inside(p, c):
         return fallback_bisect(p)
-    rps = _refinement_points(p, label, mode)
+    rps = _refinement_points(p, label)
     try:
         if label == 3:
             if len(rps) != 3:
@@ -472,7 +464,6 @@ def refine_element(
     strategy: Strategy | str,
     classifier=None,
     rho: float = 0.5,
-    mode: str = "nearest",
 ) -> RefinementResult:
     """Refine one element with the requested strategy, falling back to
     bisection whenever the strategy cannot produce a valid partition."""
@@ -486,9 +477,9 @@ def refine_element(
             return fallback_bisect(p)
         return res
     if strategy == Strategy.CNN_MP:
-        return refine_cnn_mp(p, classifier, mode)
+        return refine_cnn_mp(p, classifier)
     if strategy == Strategy.CNN_RP:
-        return refine_cnn_rp(p, classifier, rho, mode)
+        return refine_cnn_rp(p, classifier, rho)
     return fallback_bisect(p)
 
 

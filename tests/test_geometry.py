@@ -10,14 +10,17 @@ from polyrefine.geometry import (
     area_centroid,
     centroid,
     contains,
+    contains_many,
     corner_count,
     diameter,
+    distance_to_boundary,
     edge_midpoints,
     inscribed_radius,
     interior_angles,
     is_convex,
     min_inner_angle,
     perimeter,
+    regular_polygon,
 )
 from conftest import random_star_polygon, with_aligned_vertex
 
@@ -120,10 +123,42 @@ def test_corner_count():
 
 
 def test_inscribed_radius():
-    assert inscribed_radius(SQUARE) == pytest.approx(0.5, abs=1e-3)
-    assert inscribed_radius(EQUILATERAL) == pytest.approx(1 / (2 * math.sqrt(3)), abs=1e-3)
+    assert inscribed_radius(SQUARE) == pytest.approx(0.5, rel=1e-12)
+    assert inscribed_radius(EQUILATERAL) == pytest.approx(1 / (2 * math.sqrt(3)), rel=1e-12)
     rect = Polygon([(0, 0), (1, 0), (1, 0.2), (0, 0.2)])
-    assert inscribed_radius(rect) == pytest.approx(0.1, abs=1e-3)
+    assert inscribed_radius(rect) == pytest.approx(0.1, rel=1e-12)
+    # centre on the diagonal, touching both outer edges and the reflex vertex
+    assert inscribed_radius(L_SHAPE) == pytest.approx(2 - math.sqrt(2), rel=1e-12)
+    # 41,664 line triples, scored in several chunks
+    assert inscribed_radius(regular_polygon(64)) == pytest.approx(math.cos(math.pi / 64), rel=1e-12)
+
+
+def _grid_oracle(p: Polygon, res: int = 200) -> tuple[float, float]:
+    """Largest boundary distance over an interior grid (a lower bound on the
+    inscribed radius) and the grid's diagonal step."""
+    lo, hi = p.coords.min(axis=0), p.coords.max(axis=0)
+    gx = lo[0] + (np.arange(res) + 0.5) * (hi[0] - lo[0]) / res
+    gy = lo[1] + (np.arange(res) + 0.5) * (hi[1] - lo[1]) / res
+    pts = np.column_stack([np.repeat(gx, res), np.tile(gy, res)])
+    inside = contains_many(p, pts, tol=0.0)
+    return float(distance_to_boundary(p, pts[inside]).max()), float(np.hypot(*(hi - lo))) / res
+
+
+def test_inscribed_radius_properties(rng):
+    long_rect = Polygon([(0, 0), (10, 0), (10, 1), (0, 1)])  # the maximum is a ridge
+    polys = [long_rect] + [random_star_polygon(rng, reflex=k % 2 == 0) for k in range(199)]
+    assert sum(not is_convex(p) for p in polys) >= 50
+    assert inscribed_radius(long_rect) == pytest.approx(0.5, rel=1e-12)
+    for p in polys:
+        r = inscribed_radius(p)
+        best, step = _grid_oracle(p)
+        assert best - 1e-12 <= r <= best + step, (best, r, step)
+        q = with_aligned_vertex(p, edge=int(rng.integers(0, p.n)), t=float(rng.uniform(0.2, 0.8)))
+        assert inscribed_radius(q) == pytest.approx(r, rel=1e-9)
+        for shift in (1e3, 1e6):
+            assert inscribed_radius(Polygon(p.coords + shift)) == pytest.approx(r, rel=1e-9)
+        for scale in (1e-6, 1e6):
+            assert inscribed_radius(Polygon(p.coords * scale)) == pytest.approx(scale * r, rel=1e-9)
 
 
 def test_rigid_motion_invariance(rng):

@@ -1,0 +1,37 @@
+"""Golden hashes of refined meshes: refactors must keep the output bytes.
+
+Two uniform passes on each initial grid with each strategy, written by
+`save_mesh` and hashed. The CNN strategies use the geometric stand-in
+classifier `corner_label`, so the hashes do not depend on a trained model.
+"""
+import hashlib
+
+import pytest
+
+from polyrefine.mesh import GRID_GENERATORS, refine_mesh, save_mesh
+from polyrefine.refine import corner_label
+
+GOLDEN = {
+    ("triangles", "mp"): "1b65f76b7bed59c698f1f8d9ae02fed48dd9bbceadc6438e0fbdd0680315be62",
+    ("triangles", "cnn-rp"): "73ce3e182efa1088c6374da77c1cc82731c54ff07608d049adefed4b514bd7fb",
+    ("triangles", "cnn-mp"): "4a682aa5a6d8c0a1212bac0f6f8902e032e80e2aaafa04b319100b5cfd15c2d9",
+    ("voronoi", "mp"): "af4664b54f03672c96500d48c3ecf3d2ed58c1e742123d1bbc53bd2933c9536f",
+    ("voronoi", "cnn-rp"): "3e148cc2d7ee25daaccc37f2f4f3ceb7e7799468125c8b1c3210ae7e5b727cd3",
+    ("voronoi", "cnn-mp"): "a6a0d418924a8ae8abd390c8d1b248dee12bcaa35f624af4c80927c061603531",
+    ("smoothed", "mp"): "7c7436cf8c8f71d16cac4f2185b934dc1107c54fb7289be2f4103668c4c41b65",
+    ("smoothed", "cnn-rp"): "948e014b8cbaf94fe1a3431c4828d46003ada755aff4fb3fb8eefd353a5241dd",
+    ("smoothed", "cnn-mp"): "3b85a5a3d040333e7ac07015b5e53c027400d2d9f7f43aacb0db037d43132249",
+    ("nonconvex", "mp"): "e501fbb98ef6bcc758c6ee4c85403b2e40add10d28298537153fd940d12bbd86",
+    ("nonconvex", "cnn-rp"): "61119248a34dd1764c29b82812d87b88b67e2b14344e4e2a95ff8627f50c1d22",
+    ("nonconvex", "cnn-mp"): "bd718bfec1f41660cd1fc859b1c4356e56f1056bf60cf0e1b395520bea732fd7",
+}
+
+
+@pytest.mark.parametrize("grid,strategy", sorted(GOLDEN))
+def test_two_uniform_passes_match_golden_hash(tmp_path, grid, strategy):
+    m = GRID_GENERATORS[grid]()
+    for _ in range(2):
+        m = refine_mesh(m, range(m.n_elements), strategy, corner_label)
+    path = tmp_path / "mesh_refined.txt"
+    save_mesh(m, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(grid, strategy)]

@@ -24,12 +24,14 @@ SPLIT_SQUARE = Polygon([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)])
 
 
 def test_circle_ratio():
-    assert circle_ratio(SQUARE) == pytest.approx(0.5 / (math.sqrt(2) / 2), abs=2e-3)
+    assert circle_ratio(SQUARE) == pytest.approx(0.5 / (math.sqrt(2) / 2), rel=1e-12)
     assert circle_ratio(EQUILATERAL) == pytest.approx(
-        (1 / (2 * math.sqrt(3))) / 0.5, abs=2e-3
+        (1 / (2 * math.sqrt(3))) / 0.5, rel=1e-12
     )
     thin = Polygon([(0, 0), (1, 0), (1, 0.1), (0, 0.1)])
-    assert circle_ratio(thin) == pytest.approx(0.05 / (math.sqrt(1.01) / 2), abs=2e-3)
+    assert circle_ratio(thin) == pytest.approx(0.05 / (math.sqrt(1.01) / 2), rel=1e-12)
+    right_iso = Polygon([(0, 0), (1, 0), (0, 1)])
+    assert circle_ratio(right_iso) == pytest.approx(math.sqrt(2) - 1, rel=1e-12)
 
 
 def test_area_perimeter_ratio():
@@ -87,8 +89,7 @@ def test_metrics_invariance(rng):
                 continue
             a = element_metrics(p, 1.0)[name]
             b = element_metrics(q, 1.0)[name]
-            tol = 2e-3 if name == "CR" else 1e-9
-            assert abs(a - b) <= tol * max(1.0, abs(a)), name
+            assert abs(a - b) <= 1e-9 * max(1.0, abs(a)), name
 
 
 def test_metric_ranges(rng):

@@ -118,12 +118,6 @@ def test_refinement_points_distorted_quad():
     assert (d < 1e-9).all()
 
 
-def test_refinement_points_modes_differ_api():
-    assert refinement_points(SPLIT_SQUARE, 4, mode="sum")
-    with pytest.raises(ValueError):
-        refinement_points(SPLIT_SQUARE, 4, mode="bogus")
-
-
 def test_cnn_mp_square_matches_mp():
     res = refine_cnn_mp(SQUARE, lambda p: 4)
     mp = refine_mp(SQUARE)
