@@ -2,7 +2,8 @@
 
 Vertex loops are stored counter-clockwise; clockwise input is reversed on
 construction. Aligned (collinear) vertices are legal and preserved, since
-meshes with hanging nodes rely on them.
+meshes with hanging nodes rely on them. `Polygon(...)` checks its input;
+`Polygon.trusted(...)` wraps coordinates derived from checked geometry.
 """
 from __future__ import annotations
 
@@ -103,6 +104,16 @@ class Polygon:
             raise PolygonError("self-intersecting loop")
         arr.setflags(write=False)
         self.coords = arr
+
+    @classmethod
+    def trusted(cls, coords) -> "Polygon":
+        """Wrap a read-only float64 copy of coordinates already known to form
+        a simple CCW loop (an element of a validated mesh, an orientation-
+        preserving affine image of a Polygon) without checking them again."""
+        p = cls.__new__(cls)
+        p.coords = np.array(coords, dtype=np.float64)
+        p.coords.setflags(write=False)
+        return p
 
     @property
     def n(self) -> int:
@@ -294,9 +305,7 @@ def inscribed_radius(p: Polygon) -> float:
     c[:m, :2], c[:m, 2], c[m:, :2] = normal, -1.0, -2.0 * reflex
     b = np.concatenate([(normal * a[corner]).sum(axis=1), -(reflex * reflex).sum(axis=1)])
     tri = np.array(list(itertools.combinations(range(len(b)), 3)), dtype=np.intp).reshape(-1, 3)
-    # an affine image of p, so simple and CCW: skip the constructor's O(n^2) checks
-    local = object.__new__(Polygon)
-    local.coords = a
+    local = Polygon.trusted(a)  # an affine image of p
     best, step = 0.0, 1 + 2**18 // len(a)  # bounds the (candidates, edges) arrays
     for start in range(0, len(tri), step):
         x = _equidistant_centres(c, b, m, tri[start : start + step])

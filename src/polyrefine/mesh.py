@@ -18,6 +18,7 @@ import numpy as np
 from .geometry import (
     Point2,
     Polygon,
+    _signed_area,
     area,
     area_centroid,
     diameter,
@@ -31,7 +32,12 @@ class MeshError(ValueError):
 
 
 class PolyMesh:
-    """Vertices plus CCW vertex-index loops, one per element."""
+    """Vertices plus CCW vertex-index loops, one per element.
+
+    `validate=True` checks the loops (see `validate`), so `polygon(i)` can
+    wrap them without checking them again. With `validate=False` the caller
+    vouches that every loop is simple and counter-clockwise.
+    """
 
     def __init__(self, vertices, elements, validate: bool = True):
         self.vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 2)
@@ -48,7 +54,7 @@ class PolyMesh:
         return len(self.elements)
 
     def polygon(self, i: int) -> Polygon:
-        return Polygon(self.vertices[self.elements[i]])
+        return Polygon.trusted(self.vertices[self.elements[i]])
 
     def polygons(self) -> list[Polygon]:
         return [self.polygon(i) for i in range(self.n_elements)]
@@ -78,6 +84,9 @@ class PolyMesh:
         return out
 
     def validate(self) -> None:
+        """Raise MeshError (PolygonError for a loop that is not a simple
+        polygon) unless every loop is simple and counter-clockwise and the
+        loops fit together edge to edge."""
         n = self.n_vertices
         directed: set[tuple[int, int]] = set()
         for eid, loop in enumerate(self.elements):
@@ -87,7 +96,10 @@ class PolyMesh:
                 raise MeshError(f"element {eid}: vertex index out of range")
             if len(set(loop)) != len(loop):
                 raise MeshError(f"element {eid}: repeated vertex in loop")
-            self.polygon(eid)  # raises PolygonError if not simple CCW
+            coords = self.vertices[loop]
+            Polygon(coords)  # raises PolygonError if not simple
+            if _signed_area(coords) < 0:
+                raise MeshError(f"element {eid}: clockwise loop")
             for k in range(len(loop)):
                 e = (loop[k], loop[(k + 1) % len(loop)])
                 if e in directed:
@@ -185,7 +197,7 @@ class _WorkingMesh:
 
     # -- element replacement -------------------------------------------------
     def polygon(self, eid: int) -> Polygon:
-        return Polygon([self.reg.points[v] for v in self.loops[eid]])
+        return Polygon.trusted([self.reg.points[v] for v in self.loops[eid]])
 
     def replace(self, eid: int, children: list[Polygon]) -> list[int]:
         old = self.loops[eid]
@@ -540,16 +552,27 @@ def save_mesh(mesh: PolyMesh, path) -> None:
 
 
 def load_mesh(path) -> PolyMesh:
-    lines = [l for l in Path(path).read_text().splitlines() if l.strip()]
-    if lines[0].strip() != "POLYMESH 1":
-        raise MeshError("not a POLYMESH 1 file")
-    nv, ne = (int(t) for t in lines[1].split())
-    verts = [tuple(float(t) for t in lines[2 + i].split()) for i in range(nv)]
-    elements = []
-    for i in range(ne):
-        toks = lines[2 + nv + i].split()
-        k = int(toks[0])
-        if len(toks) != k + 1:
-            raise MeshError(f"element line {i}: expected {k} indices")
-        elements.append([int(t) for t in toks[1:]])
+    """Read a POLYMESH 1 file; a malformed or truncated file raises MeshError
+    naming its 1-based line."""
+    lines = Path(path).read_text().splitlines()
+    rows = iter([(k, l.split()) for k, l in enumerate(lines, 1) if l.strip()])
+
+    def fields(what: str, parse, ok) -> list:
+        k, toks = next(rows, (len(lines) + 1, None))
+        if toks is None:
+            raise MeshError(f"line {k}: expected the {what}, found the end of the file")
+        try:
+            vals = [parse(t) for t in toks]
+        except ValueError:
+            raise MeshError(f"line {k}: non-numeric {what}") from None
+        if not ok(vals):
+            raise MeshError(f"line {k}: malformed {what}")
+        return vals
+
+    fields("POLYMESH 1 header", str, lambda v: v == ["POLYMESH", "1"])
+    nv, ne = fields("vertex and element counts", int, lambda v: len(v) == 2 and min(v) >= 0)
+    verts = [fields(f"vertex {i}", float, lambda v: len(v) == 2) for i in range(nv)]
+    elements = [
+        fields(f"element {i}", int, lambda v: len(v) == v[0] + 1)[1:] for i in range(ne)
+    ]
     return PolyMesh(np.asarray(verts), elements)

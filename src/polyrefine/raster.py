@@ -80,7 +80,7 @@ def rasterize(p: Polygon) -> BinaryImage:
     span = np.maximum(hi - lo, 1e-14 * diameter(p))
     scale = (1.0 - 2.0 * MARGIN) / span
     center = 0.5 * (lo + hi)
-    scaled = Polygon(0.5 + (p.coords - center) * scale)
+    scaled = Polygon.trusted(0.5 + (p.coords - center) * scale)  # positive scales keep CCW
     mask = contains_many(scaled, _CENTERS)
     grid = mask.reshape(RESOLUTION, RESOLUTION).astype(np.uint8)
     if not grid.any():

@@ -172,32 +172,6 @@ def refinement_points(p: Polygon, label: int) -> list[Point2]:
     return [bp.point for bp in _refinement_points(p, label)]
 
 
-def _locate_on_boundary(p: Polygon, pts) -> list[_BoundaryPoint]:
-    """Map arbitrary boundary points to arc parameters (tolerant snap)."""
-    starts, per = _vertex_arcs(p)
-    lens = edge_lengths(p)
-    tol = max(geom_tol(p), 1e-12 * per)
-    out = []
-    for q in pts:
-        located = None
-        for i in range(p.n):
-            vi = p.coords[i]
-            if math.hypot(q[0] - vi[0], q[1] - vi[1]) <= tol:
-                located = _BoundaryPoint(float(starts[i]), Point2(*vi), i)
-                break
-            vj = p.coords[(i + 1) % p.n]
-            if point_on_segment(q, vi, vj, tol):
-                t = math.hypot(q[0] - vi[0], q[1] - vi[1]) / lens[i]
-                located = _BoundaryPoint(
-                    float(starts[i] + t * lens[i]), Point2(float(q[0]), float(q[1])), None
-                )
-                break
-        if located is None:
-            raise RefinementError("refinement point not on the boundary")
-        out.append(located)
-    return sorted(out, key=lambda bp: bp.s)
-
-
 def _walk(p: Polygon, a: _BoundaryPoint, b: _BoundaryPoint, per: float) -> list[Point2]:
     """Points from a to b CCW along the boundary, inclusive of both ends."""
     starts, _ = _vertex_arcs(p)
@@ -256,9 +230,9 @@ def _refine_fan(p: Polygon, label: int, tag: Strategy) -> RefinementResult:
 # reference-polygon templates
 # ---------------------------------------------------------------------------
 
-def template_triangle(p: Polygon, pts) -> RefinementResult:
-    """Connect three refinement points into four triangle-like children."""
-    rps = pts if pts and isinstance(pts[0], _BoundaryPoint) else _locate_on_boundary(p, pts)
+def template_triangle(p: Polygon, rps: list[_BoundaryPoint]) -> RefinementResult:
+    """Connect three refinement points (from `_refinement_points`) into four
+    triangle-like children."""
     if len(rps) != 3:
         raise RefinementError("triangle template needs exactly 3 points")
     _, per = _vertex_arcs(p)
@@ -276,9 +250,9 @@ def template_triangle(p: Polygon, pts) -> RefinementResult:
     return RefinementResult(children, new_pts, Strategy.CNN_RP)
 
 
-def template_regular(p: Polygon, label: int, pts, rho: float = 0.5) -> RefinementResult:
-    """Inner scaled polygon plus one boundary pentagon per refinement point."""
-    rps = pts if pts and isinstance(pts[0], _BoundaryPoint) else _locate_on_boundary(p, pts)
+def template_regular(p: Polygon, rps: list[_BoundaryPoint], rho: float = 0.5) -> RefinementResult:
+    """Inner scaled polygon plus one boundary pentagon per refinement point
+    (from `_refinement_points`)."""
     k = len(rps)
     if k < 3:
         raise RefinementError("regular template needs at least 3 points")
@@ -319,7 +293,7 @@ def refine_cnn_rp(p: Polygon, classifier, rho: float = 0.5) -> RefinementResult:
             return template_triangle(p, rps)
         if len(rps) < 3:
             return fallback_bisect(p)
-        return template_regular(p, label, rps, rho)
+        return template_regular(p, rps, rho)
     except (RefinementError, PolygonError):
         return fallback_bisect(p)
 

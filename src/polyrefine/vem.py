@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import Polygon, centroid, diameter
+from .geometry import Polygon, area, centroid, diameter
 from .mesh import PolyMesh, mark_fixed_fraction, refine_mesh
 
 _DIRECT_SOLVE_LIMIT = 5000
@@ -180,8 +180,8 @@ def assemble(mesh: PolyMesh, case: ManufacturedCase) -> LinearSystem:
     nv = mesh.n_vertices
     rows, cols, vals = [], [], []
     rhs = np.zeros(nv)
-    for loop in mesh.elements:
-        p = Polygon(mesh.vertices[loop])
+    for i, loop in enumerate(mesh.elements):
+        p = mesh.polygon(i)
         K = local_stiffness(p)
         idx = np.asarray(loop)
         ii, jj = np.meshgrid(idx, idx, indexing="ij")
@@ -189,13 +189,7 @@ def assemble(mesh: PolyMesh, case: ManufacturedCase) -> LinearSystem:
         cols.append(jj.ravel())
         vals.append(K.ravel())
         c = centroid(p)
-        area_p = 0.5 * abs(
-            np.sum(
-                p.coords[:, 0] * np.roll(p.coords[:, 1], -1)
-                - np.roll(p.coords[:, 0], -1) * p.coords[:, 1]
-            )
-        )
-        rhs[idx] += float(case.forcing(c.x, c.y)) * area_p / len(loop)
+        rhs[idx] += float(case.forcing(c.x, c.y)) * area(p) / len(loop)
     A = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nv, nv),
@@ -252,8 +246,7 @@ def local_errors(mesh: PolyMesh, u: np.ndarray, case: ManufacturedCase) -> np.nd
     """Per-element squared contributions to the broken H1-like error."""
     out = np.empty(mesh.n_elements)
     for i, loop in enumerate(mesh.elements):
-        p = Polygon(mesh.vertices[loop])
-        out[i] = element_error_sq(p, u[loop], case)
+        out[i] = element_error_sq(mesh.polygon(i), u[loop], case)
     return out
 
 

@@ -101,10 +101,10 @@ def test_criterion_1_classifier_accuracy(trained4):
     assert wall <= TIME_LIMIT, f"pipeline took {wall:.0f}s > {TIME_LIMIT:.0f}s"
     # classification sanity on reference shapes
     net = trained4["net"]
-    assert cnn.classify(net, regular_polygon(4, phase=0.3)) == 4
+    assert net.classify_polygon(regular_polygon(4, phase=0.3)) == 4
     tri = Polygon([(0, 0), (0.5, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
-    assert cnn.classify(net, tri) == 3  # aligned extra vertex ignored
-    assert cnn.classify(net, regular_polygon(6)) == 6
+    assert net.classify_polygon(tri) == 3  # aligned extra vertex ignored
+    assert net.classify_polygon(regular_polygon(6)) == 6
     print(
         f"\n[ACCEPT 1] CNN accuracy l=4 ({scale} scale, {PER_CLASS}/class): "
         f"{acc:.4f} >= {ACC_FLOOR}, pipeline {wall:.0f}s <= {TIME_LIMIT:.0f}s: PASS"

@@ -50,6 +50,15 @@ def test_cw_input_reversed():
     assert set(p.vertices) == {(0, 0), (0, 1), (1, 1), (1, 0)}
 
 
+def test_trusted_wraps_a_read_only_copy(rng):
+    c = random_star_polygon(rng).coords.copy()  # counter-clockwise
+    t = Polygon.trusted(c)
+    assert np.array_equal(t.coords, Polygon(c).coords)
+    assert t.coords.dtype == np.float64
+    assert not t.coords.flags.writeable
+    assert not np.shares_memory(t.coords, c)
+
+
 def test_centroid_is_vertex_average():
     assert centroid(SQUARE) == pytest.approx((0.5, 0.5))
     assert centroid(TRIANGLE) == pytest.approx((1 / 3, 1 / 3))

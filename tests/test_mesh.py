@@ -163,6 +163,41 @@ def test_mesh_validation_catches_overlap():
         PolyMesh(verts, [[0, 1, 2, 3], [0, 1, 2]])  # overlapping elements
 
 
+def test_mesh_validation_rejects_clockwise_loops(tmp_path):
+    m = generate_triangle_grid(2)
+    cw = PolyMesh(m.vertices, [loop[::-1] for loop in m.elements], validate=False)
+    save_mesh(cw, tmp_path / "cw.txt")
+    with pytest.raises(MeshError, match="element 0: clockwise loop"):
+        load_mesh(tmp_path / "cw.txt")
+
+
+_TRIANGLE_FILE = ["POLYMESH 1", "3 1", "0 0", "1 0", "0 1", "3 0 1 2"]
+
+
+@pytest.mark.parametrize(
+    "lines, line",
+    [
+        ([], 1),  # empty file
+        (["POLYMESH 2"] + _TRIANGLE_FILE[1:], 1),
+        (_TRIANGLE_FILE[:1], 2),  # ends before the counts
+        (["POLYMESH 1", "3 one"] + _TRIANGLE_FILE[2:], 2),
+        (_TRIANGLE_FILE[:4], 5),  # ends inside the vertex list
+        (["POLYMESH 1", "", "3 1", "0 0", "1 zero", "0 1", "3 0 1 2"], 5),  # blank lines count
+        (_TRIANGLE_FILE[:3] + ["1 0 0"] + _TRIANGLE_FILE[4:], 4),  # three coordinates
+        (_TRIANGLE_FILE[:5], 6),  # ends before the element
+        (_TRIANGLE_FILE[:5] + ["4 0 1 2"], 6),  # fewer indices than announced
+        (_TRIANGLE_FILE[:5] + ["3 0 1 2.0"], 6),
+    ],
+)
+def test_load_mesh_errors_name_the_line(tmp_path, lines, line):
+    path = tmp_path / "mesh.txt"
+    path.write_text("".join(l + "\n" for l in _TRIANGLE_FILE))
+    assert load_mesh(path).elements == [[0, 1, 2]]  # the unbroken file loads
+    path.write_text("".join(l + "\n" for l in lines))
+    with pytest.raises(MeshError, match=f"^line {line}: "):
+        load_mesh(path)
+
+
 def test_save_load_round_trip(tmp_path, rng):
     m = generate_voronoi_grid(6, seed=5)
     path = tmp_path / "mesh.txt"

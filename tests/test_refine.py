@@ -8,6 +8,7 @@ from polyrefine.geometry import Polygon, area, edge_midpoints, regular_polygon
 from polyrefine.refine import (
     RefinementError,
     Strategy,
+    _refinement_points,
     corner_label,
     fallback_bisect,
     refine_cnn_mp,
@@ -141,11 +142,11 @@ def test_cnn_mp_pentagon_classified_as_quad():
 
 
 def test_template_triangle():
-    res = template_triangle(TRIANGLE, edge_midpoints(TRIANGLE))
+    res = template_triangle(TRIANGLE, _refinement_points(TRIANGLE, 3))
     assert len(res.children) == 4
     assert child_areas(res) == pytest.approx([0.125] * 4)
     eq = regular_polygon(3)
-    res = template_triangle(eq, edge_midpoints(eq))
+    res = template_triangle(eq, _refinement_points(eq, 3))
     assert child_areas(res) == pytest.approx([area(eq) / 4] * 4)
     # the medial child is similar to the parent (half-scale edge lengths)
     from polyrefine.geometry import edge_lengths
@@ -159,7 +160,7 @@ def test_template_triangle():
 def test_template_regular_counts():
     for n in (5, 6, 8):
         p = regular_polygon(n)
-        res = template_regular(p, n, edge_midpoints(p))
+        res = template_regular(p, _refinement_points(p, n))
         assert len(res.children) == n + 1
         assert sum(child_areas(res)) == pytest.approx(area(p))
 

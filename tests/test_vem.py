@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from polyrefine import vem
+from polyrefine import geometry, vem
 from polyrefine.geometry import Polygon, area
 from polyrefine.mesh import (
     generate_nonconvex_grid,
     generate_smoothed_voronoi_grid,
     generate_triangle_grid,
     generate_voronoi_grid,
+    refine_mesh,
 )
+from polyrefine.raster import rasterize
 from polyrefine.refine import Strategy, corner_label
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -153,3 +155,20 @@ def test_solver_cg_path_matches_direct(monkeypatch):
     monkeypatch.setattr(vem, "_DIRECT_SOLVE_LIMIT", 1)
     iterative = vem.solve(system)
     assert iterative == pytest.approx(direct, abs=1e-8)
+
+
+def test_derived_polygons_are_not_checked_again(monkeypatch):
+    """Past the trust boundary (a validated mesh), assembly, error evaluation
+    and rasterization never rerun the O(n^2) simplicity check."""
+    mesh = refine_mesh(GRIDS["voronoi"], range(9), "mp")
+    calls = []
+    original = geometry._is_simple
+    monkeypatch.setattr(geometry, "_is_simple", lambda c: calls.append(len(c)) or original(c))
+    case = vem.sine_case()
+    u = vem.solve(vem.assemble(mesh, case))
+    vem.local_errors(mesh, u, case)
+    for p in mesh.polygons():
+        rasterize(p)
+    assert calls == []
+    Polygon(mesh.polygon(0).coords)  # the checking constructor is counted
+    assert len(calls) == 1
