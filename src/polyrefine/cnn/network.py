@@ -1,6 +1,7 @@
 """The polygon-shape classifier network and its on-disk format."""
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -169,62 +170,83 @@ def save_model(net: Network, path) -> None:
 
 
 class _Reader:
+    """Cursor over the bytes of a model file; reading past the end raises
+    ValueError naming the byte offset and the field."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
-    def unpack(self, fmt: str):
-        vals = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += struct.calcsize(fmt)
-        return vals
+    def _take(self, size: int, what: str) -> int:
+        start = self.pos
+        if start + size > len(self.data):
+            raise ValueError(
+                f"byte {start}: the file ends inside the {what} "
+                f"({size} bytes needed, {len(self.data) - start} left)"
+            )
+        self.pos += size
+        return start
 
-    def array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(self.data, dtype="<f8", count=count, offset=self.pos)
-        self.pos += count * 8
+    def unpack(self, fmt: str, what: str):
+        return struct.unpack_from(fmt, self.data, self._take(struct.calcsize(fmt), what))
+
+    def array(self, shape, what: str) -> np.ndarray:
+        count = math.prod(shape)
+        start = self._take(8 * count, what)
+        arr = np.frombuffer(self.data, dtype="<f8", count=count, offset=start)
         return arr.reshape(shape).astype(np.float64)
 
 
 def load_model(path) -> Network:
+    """Read a `save_model` file. A wrong magic number or version, an unknown
+    layer tag, a truncated file or trailing bytes raise ValueError naming the
+    byte offset. Every array is read before its layer is built, so a corrupt
+    size fails on the file length instead of allocating."""
     r = _Reader(Path(path).read_bytes())
-    if r.data[:8] != _MAGIC:
-        raise ValueError("not a polyrefine model file")
-    r.pos = 8
-    version, n_classes, resolution = r.unpack("<III")
+    (magic,) = r.unpack("8s", "magic number")
+    if magic != _MAGIC:
+        raise ValueError("byte 0: not a polyrefine model file")
+    version, n_classes, resolution = r.unpack("<III", "header")
     if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported model version {version}")
-    (n_layers,) = r.unpack("<I")
+        raise ValueError(f"byte 8: unsupported model version {version}")
+    (n_layers,) = r.unpack("<I", "layer count")
     net = Network.__new__(Network)
     net.n_classes = n_classes
     net.resolution = resolution
     net.layers = []
-    for _ in range(n_layers):
-        (tag,) = r.unpack("<B")
+    for i in range(n_layers):
+        at = r.pos
+        (tag,) = r.unpack("<B", f"tag of layer {i}")
         if tag == 1:
-            k, c_in, maps = r.unpack("<III")
-            layer = ConvLayer(c_in, maps, k=k)
+            k, c_in, maps = r.unpack("<III", f"header of layer {i}")
             K = 2 * k + 1
-            layer.kernel = r.array((K, K, c_in, maps))
-            layer.bias = r.array((maps,))
+            kernel = r.array((K, K, c_in, maps), f"kernel of layer {i}")
+            bias = r.array((maps,), f"bias of layer {i}")
+            layer = ConvLayer(c_in, maps, k=k)
+            layer.kernel, layer.bias = kernel, bias
         elif tag == 2:
-            (channels,) = r.unpack("<I")
-            momentum, eps = r.unpack("<dd")
+            (channels,) = r.unpack("<I", f"header of layer {i}")
+            momentum, eps = r.unpack("<dd", f"header of layer {i}")
+            stats = [
+                r.array((channels,), f"{name} of layer {i}")
+                for name in ("gamma", "beta", "running mean", "running variance")
+            ]
             layer = BatchNormLayer(channels, momentum=momentum, eps=eps)
-            layer.gamma = r.array((channels,))
-            layer.beta = r.array((channels,))
-            layer.running_mean = r.array((channels,))
-            layer.running_var = r.array((channels,))
+            layer.gamma, layer.beta, layer.running_mean, layer.running_var = stats
         elif tag == 3:
             layer = ReLULayer()
         elif tag == 4:
-            (size,) = r.unpack("<I")
+            (size,) = r.unpack("<I", f"header of layer {i}")
             layer = MaxPoolLayer(size)
         elif tag == 5:
-            n_in, n_out = r.unpack("<II")
+            n_in, n_out = r.unpack("<II", f"header of layer {i}")
+            weights = r.array((n_in, n_out), f"weights of layer {i}")
+            bias = r.array((n_out,), f"bias of layer {i}")
             layer = DenseLayer(n_in, n_out)
-            layer.weights = r.array((n_in, n_out))
-            layer.bias = r.array((n_out,))
+            layer.weights, layer.bias = weights, bias
         else:
-            raise ValueError(f"unknown layer tag {tag}")
+            raise ValueError(f"byte {at}: unknown layer tag {tag}")
         net.layers.append(layer)
+    if r.pos != len(r.data):
+        raise ValueError(f"byte {r.pos}: trailing bytes after the last layer")
     return net

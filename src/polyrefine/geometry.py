@@ -31,49 +31,60 @@ def _signed_area(coords: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_cross(p1, p2, p3, p4, eps: float) -> bool:
-    """True if segments (p1,p2) and (p3,p4) intersect or touch."""
-    d21 = p2 - p1
-    d43 = p4 - p3
-    d1 = d43[0] * (p1[1] - p3[1]) - d43[1] * (p1[0] - p3[0])
-    d2 = d43[0] * (p2[1] - p3[1]) - d43[1] * (p2[0] - p3[0])
-    d3 = d21[0] * (p3[1] - p1[1]) - d21[1] * (p3[0] - p1[0])
-    d4 = d21[0] * (p4[1] - p1[1]) - d21[1] * (p4[0] - p1[0])
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
+def segment_orientations(p1, p2, p3, p4):
+    """Twice the signed areas of the triangles (p3, p4, p1), (p3, p4, p2),
+    (p1, p2, p3) and (p1, p2, p4): positive where the point lies left of the
+    other segment's direction.
 
-    def on_seg(a, b, c):
-        # c collinear-ish with (a, b): does it fall inside the bounding box?
+    Plain arithmetic on p[0] and p[1], so a point may be a pair of floats, a
+    coordinate row, or a pair of broadcasting arrays (one test per element).
+    """
+    d43x, d43y = p4[0] - p3[0], p4[1] - p3[1]
+    d21x, d21y = p2[0] - p1[0], p2[1] - p1[1]
+    return (
+        d43x * (p1[1] - p3[1]) - d43y * (p1[0] - p3[0]),
+        d43x * (p2[1] - p3[1]) - d43y * (p2[0] - p3[0]),
+        d21x * (p3[1] - p1[1]) - d21y * (p3[0] - p1[0]),
+        d21x * (p4[1] - p1[1]) - d21y * (p4[0] - p1[0]),
+    )
+
+
+def segments_straddle(d, eps: float):
+    """Given `segment_orientations`, each segment's endpoints lie on opposite
+    sides of the other's line by more than eps: a proper crossing."""
+    d1, d2, d3, d4 = d
+    return (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & (
+        ((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps))
+    )
+
+
+def _is_simple(coords: np.ndarray) -> bool:
+    """No two non-adjacent edges cross or touch. An endpoint touches the
+    other edge when it is within eps of that edge's line and inside its
+    bounding box widened by eps."""
+    n = len(coords)
+    scale = float(np.max(np.abs(coords - coords.mean(axis=0)))) + 1e-300
+    eps = 1e-13 * scale * scale
+    pts = coords.tolist()
+
+    def in_box(c, a, b):
         return (
             min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
             and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
         )
 
-    if abs(d1) <= eps and on_seg(p3, p4, p1):
-        return True
-    if abs(d2) <= eps and on_seg(p3, p4, p2):
-        return True
-    if abs(d3) <= eps and on_seg(p1, p2, p3):
-        return True
-    if abs(d4) <= eps and on_seg(p1, p2, p4):
-        return True
-    return False
-
-
-def _is_simple(coords: np.ndarray) -> bool:
-    n = len(coords)
-    scale = float(np.max(np.abs(coords - coords.mean(axis=0)))) + 1e-300
-    eps = 1e-13 * scale * scale
     for i in range(n):
-        a1, a2 = coords[i], coords[(i + 1) % n]
-        for j in range(i + 1, n):
-            # skip edges adjacent to edge i (share an endpoint)
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            b1, b2 = coords[j], coords[(j + 1) % n]
-            if _segments_cross(a1, a2, b1, b2, eps):
+        a1, a2 = pts[i], pts[(i + 1) % n]
+        # edges i + 1 and i - 1 share an endpoint with edge i
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            b1, b2 = pts[j], pts[(j + 1) % n]
+            d1, d2, d3, d4 = d = segment_orientations(a1, a2, b1, b2)
+            if segments_straddle(d, eps) or (
+                (abs(d1) <= eps and in_box(a1, b1, b2))
+                or (abs(d2) <= eps and in_box(a2, b1, b2))
+                or (abs(d3) <= eps and in_box(b1, a1, a2))
+                or (abs(d4) <= eps and in_box(b2, a1, a2))
+            ):
                 return False
     return True
 

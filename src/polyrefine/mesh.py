@@ -18,6 +18,7 @@ import numpy as np
 from .geometry import (
     Point2,
     Polygon,
+    PolygonError,
     _signed_area,
     area,
     area_centroid,
@@ -84,9 +85,8 @@ class PolyMesh:
         return out
 
     def validate(self) -> None:
-        """Raise MeshError (PolygonError for a loop that is not a simple
-        polygon) unless every loop is simple and counter-clockwise and the
-        loops fit together edge to edge."""
+        """Raise MeshError naming the element unless every loop is simple and
+        counter-clockwise and the loops fit together edge to edge."""
         n = self.n_vertices
         directed: set[tuple[int, int]] = set()
         for eid, loop in enumerate(self.elements):
@@ -97,7 +97,10 @@ class PolyMesh:
             if len(set(loop)) != len(loop):
                 raise MeshError(f"element {eid}: repeated vertex in loop")
             coords = self.vertices[loop]
-            Polygon(coords)  # raises PolygonError if not simple
+            try:
+                Polygon(coords)
+            except PolygonError as e:
+                raise MeshError(f"element {eid}: {e}") from e
             if _signed_area(coords) < 0:
                 raise MeshError(f"element {eid}: clockwise loop")
             for k in range(len(loop)):
@@ -552,9 +555,14 @@ def save_mesh(mesh: PolyMesh, path) -> None:
 
 
 def load_mesh(path) -> PolyMesh:
-    """Read a POLYMESH 1 file; a malformed or truncated file raises MeshError
-    naming its 1-based line."""
-    lines = Path(path).read_text().splitlines()
+    """Read a POLYMESH 1 file; a malformed, truncated or overlong file raises
+    MeshError naming its 1-based line, an invalid element names the element."""
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode().splitlines()
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise MeshError(f"line {line}: not UTF-8 text (byte {e.start})") from None
     rows = iter([(k, l.split()) for k, l in enumerate(lines, 1) if l.strip()])
 
     def fields(what: str, parse, ok) -> list:
@@ -571,8 +579,14 @@ def load_mesh(path) -> PolyMesh:
 
     fields("POLYMESH 1 header", str, lambda v: v == ["POLYMESH", "1"])
     nv, ne = fields("vertex and element counts", int, lambda v: len(v) == 2 and min(v) >= 0)
-    verts = [fields(f"vertex {i}", float, lambda v: len(v) == 2) for i in range(nv)]
+    verts = [
+        fields(f"vertex {i}", float, lambda v: len(v) == 2 and all(map(math.isfinite, v)))
+        for i in range(nv)
+    ]
     elements = [
         fields(f"element {i}", int, lambda v: len(v) == v[0] + 1)[1:] for i in range(ne)
     ]
+    extra = next(rows, None)
+    if extra is not None:
+        raise MeshError(f"line {extra[0]}: unexpected content after the last element")
     return PolyMesh(np.asarray(verts), elements)

@@ -43,15 +43,34 @@ class BinaryImage:
 
     @classmethod
     def from_pgm(cls, path) -> "BinaryImage":
+        """Read a plain (P1) bitmap; a malformed file raises ValueError naming
+        the byte offset or the missing or malformed field."""
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as e:
+            raise ValueError(f"byte {e.start}: not UTF-8 text") from None
         tokens = []
-        for line in Path(path).read_text().splitlines():
+        for line in text.splitlines():
             line = line.split("#", 1)[0]
             tokens.extend(line.split())
         if not tokens or tokens[0] != "P1":
             raise ValueError("not a P1 bitmap")
+        for i, what in ((1, "width"), (2, "height")):
+            if len(tokens) <= i:
+                raise ValueError(f"P1 bitmap: missing {what}")
+            if not tokens[i].isdecimal():
+                raise ValueError(f"P1 bitmap: {what} {tokens[i]!r} is not a whole number")
         w, h = int(tokens[1]), int(tokens[2])
-        data = np.array(tokens[3 : 3 + w * h], dtype=np.uint8).reshape(h, w)
-        return cls(data)
+        pixels = np.array(tokens[3:], dtype=str)
+        if len(pixels) != w * h:
+            raise ValueError(f"P1 bitmap: {len(pixels)} pixels for a {w}x{h} image")
+        lit = pixels == "1"
+        bad = ~lit & (pixels != "0")
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"P1 bitmap: pixel {k} is {tokens[3 + k]!r}, not 0 or 1")
+        return cls(lit.astype(np.uint8).reshape(h, w))
 
 
 def _pixel_centers() -> np.ndarray:

@@ -1,5 +1,10 @@
 """Single-element refinement strategies for polygonal meshes.
 
+A strategy (`refine_mp`, the CNN-MP fan, `template_triangle`,
+`template_regular`) builds the children of one element or raises; it does
+not check them. `refine_element` is the one place that classifies, tests the
+centroid, validates the partition and falls back to bisection.
+
 The classifier-driven strategies accept either a plain callable mapping a
 Polygon to an integer label (3 = triangle, 4 = quad, ...) or any object with
 a ``classify_polygon`` method (e.g. a trained Network).
@@ -27,7 +32,9 @@ from .geometry import (
     edge_midpoints,
     geom_tol,
     point_on_segment,
+    segment_orientations,
     segment_point,
+    segments_straddle,
     strictly_inside,
 )
 
@@ -84,19 +91,13 @@ def _vertex_arcs(p: Polygon) -> tuple[np.ndarray, float]:
 def refine_mp(p: Polygon) -> RefinementResult:
     """Connect every edge midpoint to the vertex-average centroid.
 
-    Produces one quad per stored vertex. Raises when the centroid is not
-    strictly inside (caller should fall back to bisection).
+    Produces one quad per stored vertex; `refine_element` has checked that
+    the centroid is strictly inside.
     """
     c = centroid(p)
-    if not strictly_inside(p, c):
-        raise RefinementError("non-star-shaped about centroid")
     mids = edge_midpoints(p)
     verts = p.vertices
-    n = p.n
-    children = []
-    for i in range(n):
-        loop = (verts[i], mids[i], c, mids[i - 1])
-        children.append(Polygon(loop))
+    children = [Polygon((verts[i], mids[i], c, mids[i - 1])) for i in range(p.n)]
     return RefinementResult(children, list(mids), Strategy.MP)
 
 
@@ -172,9 +173,9 @@ def refinement_points(p: Polygon, label: int) -> list[Point2]:
     return [bp.point for bp in _refinement_points(p, label)]
 
 
-def _walk(p: Polygon, a: _BoundaryPoint, b: _BoundaryPoint, per: float) -> list[Point2]:
+def _walk(p: Polygon, a: _BoundaryPoint, b: _BoundaryPoint) -> list[Point2]:
     """Points from a to b CCW along the boundary, inclusive of both ends."""
-    starts, _ = _vertex_arcs(p)
+    starts, per = _vertex_arcs(p)
     eps = 1e-12 * per
     sb = b.s if b.s > a.s + eps else b.s + per
     inner = []
@@ -187,43 +188,24 @@ def _walk(p: Polygon, a: _BoundaryPoint, b: _BoundaryPoint, per: float) -> list[
     return [a.point] + [pt for _, pt in inner] + [b.point]
 
 
-def _fan_children(p: Polygon, rps: list[_BoundaryPoint]) -> list[list[Point2]]:
-    c = centroid(p)
-    _, per = _vertex_arcs(p)
-    loops = []
-    k = len(rps)
-    for j in range(k):
-        walk = _walk(p, rps[j], rps[(j + 1) % k], per)
-        loops.append(walk + [c])
-    return loops
+def _new_points(rps: list[_BoundaryPoint]) -> list[Point2]:
+    """Refinement points that are not vertices: hanging nodes for neighbours."""
+    return [bp.point for bp in rps if bp.vertex_index is None]
 
 
 # ---------------------------------------------------------------------------
 # CNN-enhanced mid-point strategy
 # ---------------------------------------------------------------------------
 
-def refine_cnn_mp(p: Polygon, classifier) -> RefinementResult:
-    """Fan the classifier's refinement points to the centroid."""
-    label = int(_as_classifier(classifier)(p))
-    return _refine_fan(p, label, Strategy.CNN_MP)
-
-
-def _refine_fan(p: Polygon, label: int, tag: Strategy) -> RefinementResult:
-    label = max(3, min(label, p.n))
-    c = centroid(p)
-    if not strictly_inside(p, c):
-        return fallback_bisect(p)
-    rps = _refinement_points(p, label)
+def _fan(p: Polygon, rps: list[_BoundaryPoint], tag: Strategy) -> RefinementResult:
+    """Join each boundary walk between consecutive refinement points to the
+    centroid: CNN-MP, and CNN-RP's quad template."""
     if len(rps) < 3:
-        return fallback_bisect(p)
-    try:
-        children = [Polygon(loop) for loop in _fan_children(p, rps)]
-    except PolygonError:
-        return fallback_bisect(p)
-    if not validate_partition(p, children):
-        return fallback_bisect(p)
-    new_pts = [bp.point for bp in rps if bp.vertex_index is None]
-    return RefinementResult(children, new_pts, tag)
+        raise RefinementError("fan needs at least 3 refinement points")
+    c = centroid(p)
+    k = len(rps)
+    children = [Polygon(_walk(p, rps[j], rps[(j + 1) % k]) + [c]) for j in range(k)]
+    return RefinementResult(children, _new_points(rps), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +217,14 @@ def template_triangle(p: Polygon, rps: list[_BoundaryPoint]) -> RefinementResult
     triangle-like children."""
     if len(rps) != 3:
         raise RefinementError("triangle template needs exactly 3 points")
-    _, per = _vertex_arcs(p)
     loops = []
     for j in range(3):
-        walk = _walk(p, rps[j], rps[(j + 1) % 3], per)
+        walk = _walk(p, rps[j], rps[(j + 1) % 3])
         if len(walk) < 3:
             raise RefinementError("empty boundary walk between refinement points")
         loops.append(walk)
     loops.append([rps[0].point, rps[1].point, rps[2].point])
-    children = [Polygon(loop) for loop in loops]
-    if not validate_partition(p, children):
-        raise RefinementError("invalid triangle-template partition")
-    new_pts = [bp.point for bp in rps if bp.vertex_index is None]
-    return RefinementResult(children, new_pts, Strategy.CNN_RP)
+    return RefinementResult([Polygon(loop) for loop in loops], _new_points(rps), Strategy.CNN_RP)
 
 
 def template_regular(p: Polygon, rps: list[_BoundaryPoint], rho: float = 0.5) -> RefinementResult:
@@ -257,45 +234,15 @@ def template_regular(p: Polygon, rps: list[_BoundaryPoint], rho: float = 0.5) ->
     if k < 3:
         raise RefinementError("regular template needs at least 3 points")
     c = centroid(p)
-    if not strictly_inside(p, c):
-        raise RefinementError("centroid outside polygon")
     inner = [
         Point2(c.x + rho * (bp.point.x - c.x), c.y + rho * (bp.point.y - c.y))
         for bp in rps
     ]
-    _, per = _vertex_arcs(p)
     loops = [list(inner)]
     for j in range(k):
-        walk = _walk(p, rps[j - 1], rps[j], per)
+        walk = _walk(p, rps[j - 1], rps[j])
         loops.append(walk + [inner[j], inner[j - 1]])
-    children = [Polygon(loop) for loop in loops]
-    if not validate_partition(p, children):
-        raise RefinementError("invalid regular-template partition")
-    new_pts = [bp.point for bp in rps if bp.vertex_index is None]
-    return RefinementResult(children, new_pts, Strategy.CNN_RP)
-
-
-def refine_cnn_rp(p: Polygon, classifier, rho: float = 0.5) -> RefinementResult:
-    """Dispatch on the predicted label: 3 -> triangles, 4 -> quad fan,
-    >= 5 -> inner regular polygon with boundary pentagons."""
-    label = int(_as_classifier(classifier)(p))
-    label = max(3, min(label, p.n))
-    if label == 4:
-        return _refine_fan(p, label, Strategy.CNN_RP)
-    c = centroid(p)
-    if not strictly_inside(p, c):
-        return fallback_bisect(p)
-    rps = _refinement_points(p, label)
-    try:
-        if label == 3:
-            if len(rps) != 3:
-                return fallback_bisect(p)
-            return template_triangle(p, rps)
-        if len(rps) < 3:
-            return fallback_bisect(p)
-        return template_regular(p, rps, rho)
-    except (RefinementError, PolygonError):
-        return fallback_bisect(p)
+    return RefinementResult([Polygon(loop) for loop in loops], _new_points(rps), Strategy.CNN_RP)
 
 
 # ---------------------------------------------------------------------------
@@ -352,81 +299,45 @@ def _diagonal_is_interior(p: Polygon, i: int, j: int, tol: float) -> bool:
             return False
     seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
     eps = 1e-13 * seg_len * seg_len
-    for k in range(n):
-        k2 = (k + 1) % n
-        if k in (i, j) or k2 in (i, j):
-            continue
-        if _proper_cross(a, b, p.coords[k], p.coords[k2], eps):
-            return False
-    return True
-
-
-def _proper_cross(p1, p2, p3, p4, eps: float) -> bool:
-    d43 = (p4[0] - p3[0], p4[1] - p3[1])
-    d21 = (p2[0] - p1[0], p2[1] - p1[1])
-    d1 = d43[0] * (p1[1] - p3[1]) - d43[1] * (p1[0] - p3[0])
-    d2 = d43[0] * (p2[1] - p3[1]) - d43[1] * (p2[0] - p3[0])
-    d3 = d21[0] * (p3[1] - p1[1]) - d21[1] * (p3[0] - p1[0])
-    d4 = d21[0] * (p4[1] - p1[1]) - d21[1] * (p4[0] - p1[0])
-    return ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    )
+    c = p.coords
+    cross = segments_straddle(segment_orientations(a, b, c.T, np.roll(c, -1, axis=0).T), eps)
+    cross[[i - 1, i, j - 1, j]] = False  # the edges that end at a or b
+    return not cross.any()
 
 
 # ---------------------------------------------------------------------------
 # partition validity
 # ---------------------------------------------------------------------------
 
-def validate_partition(parent: Polygon, children) -> bool:
-    """Simple CCW children, centroids and vertices inside the parent,
-    no proper edge crossings between children, areas summing to the parent."""
-    try:
-        polys = [c if isinstance(c, Polygon) else Polygon(c) for c in children]
-    except PolygonError:
+def validate_partition(parent: Polygon, children: list[Polygon]) -> bool:
+    """The children (simple CCW polygons) have their vertices and centroids
+    inside the parent, no proper edge crossings between children, and areas
+    summing to the parent's."""
+    if not children:
         return False
-    if not polys:
-        return False
-    total = sum(area(c) for c in polys)
+    total = sum(area(c) for c in children)
     pa = area(parent)
     if abs(total - pa) > 1e-10 * pa:
         return False
     tol = geom_tol(parent)
-    all_verts = np.vstack([c.coords for c in polys])
+    all_verts = np.vstack([c.coords for c in children])
     if not contains_many(parent, all_verts, tol=max(tol, 1e-9 * diameter(parent))).all():
         return False
-    for c in polys:
+    for c in children:
         if not contains(parent, centroid(c)):
             return False
-    return not _any_child_edges_cross(polys)
+    return not _any_child_edges_cross(children)
 
 
 def _any_child_edges_cross(polys: list[Polygon]) -> bool:
-    segs = []
-    owner = []
-    for ci, c in enumerate(polys):
-        a = c.coords
-        b = np.roll(a, -1, axis=0)
-        segs.append(np.hstack([a, b]))
-        owner.extend([ci] * len(a))
-    E = np.vstack(segs)  # (m, 4): x1 y1 x2 y2
-    own = np.asarray(owner)
-    m = len(E)
-    scale = float(np.abs(E).max()) + 1e-300
+    a = np.vstack([c.coords for c in polys])
+    b = np.vstack([np.roll(c.coords, -1, axis=0) for c in polys])
+    owner = np.repeat(np.arange(len(polys)), [c.n for c in polys])
+    scale = float(np.abs(a).max()) + 1e-300
     eps = 1e-13 * scale * scale
-    p1x, p1y, p2x, p2y = E[:, 0], E[:, 1], E[:, 2], E[:, 3]
-    # pairwise orientation tests, masked to pairs from different children
-    d43x = p2x[None, :] - p1x[None, :]
-    d43y = p2y[None, :] - p1y[None, :]
-    d1 = d43x * (p1y[:, None] - p1y[None, :]) - d43y * (p1x[:, None] - p1x[None, :])
-    d2 = d43x * (p2y[:, None] - p1y[None, :]) - d43y * (p2x[:, None] - p1x[None, :])
-    d21x = p2x[:, None] - p1x[:, None]
-    d21y = p2y[:, None] - p1y[:, None]
-    d3 = d21x * (p1y[None, :] - p1y[:, None]) - d21y * (p1x[None, :] - p1x[:, None])
-    d4 = d21x * (p2y[None, :] - p1y[:, None]) - d21y * (p2x[None, :] - p1x[:, None])
-    straddle_a = ((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))
-    straddle_b = ((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps))
-    cross = straddle_a & straddle_b & (own[:, None] != own[None, :])
-    return bool(cross.any())
+    # every pair of edges at once, masked to pairs from different children
+    d = segment_orientations(a.T[:, :, None], b.T[:, :, None], a.T[:, None, :], b.T[:, None, :])
+    return bool((segments_straddle(d, eps) & (owner[:, None] != owner[None, :])).any())
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +351,42 @@ def refine_element(
     rho: float = 0.5,
 ) -> RefinementResult:
     """Refine one element with the requested strategy, falling back to
-    bisection whenever the strategy cannot produce a valid partition."""
+    bisection whenever the strategy cannot produce a valid partition.
+
+    The classifier runs first (its errors propagate) and its label is
+    clamped to [3, p.n]. Then the centroid must be strictly inside, the
+    strategy builds the children, and the children must partition p.
+    """
     strategy = Strategy(strategy)
-    if strategy == Strategy.MP:
-        try:
-            res = refine_mp(p)
-        except (RefinementError, PolygonError):
-            return fallback_bisect(p)
+    label = None
+    if strategy in (Strategy.CNN_MP, Strategy.CNN_RP):
+        label = max(3, min(int(_as_classifier(classifier)(p)), p.n))
+    try:
+        if strategy == Strategy.FALLBACK_BISECT:
+            raise RefinementError("bisection requested")
+        if not strictly_inside(p, centroid(p)):
+            raise RefinementError("centroid not strictly inside")
+        res = _build_children(p, strategy, label, rho)
         if not validate_partition(p, res.children):
-            return fallback_bisect(p)
+            raise RefinementError("children do not partition the element")
         return res
-    if strategy == Strategy.CNN_MP:
-        return refine_cnn_mp(p, classifier)
-    if strategy == Strategy.CNN_RP:
-        return refine_cnn_rp(p, classifier, rho)
-    return fallback_bisect(p)
+    except (RefinementError, PolygonError):
+        return fallback_bisect(p)
+
+
+def _build_children(
+    p: Polygon, strategy: Strategy, label: int | None, rho: float
+) -> RefinementResult:
+    """CNN-RP dispatches on the label: 3 -> triangles, 4 -> quad fan,
+    >= 5 -> inner regular polygon with boundary pentagons."""
+    if strategy == Strategy.MP:
+        return refine_mp(p)
+    rps = _refinement_points(p, label)
+    if strategy == Strategy.CNN_RP and label == 3:
+        return template_triangle(p, rps)
+    if strategy == Strategy.CNN_RP and label >= 5:
+        return template_regular(p, rps, rho)
+    return _fan(p, rps, strategy)
 
 
 def corner_label(p: Polygon, max_label: int = 6, angle_tol: float = 1e-6) -> int:

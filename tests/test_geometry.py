@@ -1,8 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from polyrefine import geometry
 from polyrefine.geometry import (
     Polygon,
     PolygonError,
@@ -21,6 +25,8 @@ from polyrefine.geometry import (
     min_inner_angle,
     perimeter,
     regular_polygon,
+    segment_orientations,
+    segments_straddle,
 )
 from conftest import random_star_polygon, with_aligned_vertex
 
@@ -207,3 +213,82 @@ def test_aligned_vertex_preserves_measures(rng):
         assert area(q) == pytest.approx(area(p), rel=1e-12)
         assert perimeter(q) == pytest.approx(perimeter(p), rel=1e-12)
         assert diameter(q) == pytest.approx(diameter(p), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the segment-crossing predicate against exact arithmetic
+# ---------------------------------------------------------------------------
+
+_POINT = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+_EXACT = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+def _exact_meet(p1, p2, p3, p4, proper: bool) -> bool:
+    """Whether closed segments (p1, p2) and (p3, p4) share a point, solved in
+    rationals; proper=True asks for one crossing interior to both."""
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = [
+        (Fraction(x), Fraction(y)) for x, y in (p1, p2, p3, p4)
+    ]
+    ux, uy, vx, vy, wx, wy = x2 - x1, y2 - y1, x4 - x3, y4 - y3, x3 - x1, y3 - y1
+    den = ux * vy - uy * vx
+    if den != 0:  # one intersection point of the lines, at p1 + t u = p3 + s v
+        t, s = (wx * vy - wy * vx) / den, (wx * uy - wy * ux) / den
+        if proper:
+            return 0 < t < 1 and 0 < s < 1
+        return 0 <= t <= 1 and 0 <= s <= 1
+    if proper or wx * uy - wy * ux != 0:
+        return False  # parallel lines
+    # one line: overlap of the parameter intervals along (p1, p2)
+    uu = ux * ux + uy * uy
+    s3 = (wx * ux + wy * uy) / uu
+    s4 = ((x4 - x1) * ux + (y4 - y1) * uy) / uu
+    return max(min(s3, s4), 0) <= min(max(s3, s4), 1)
+
+
+@_EXACT
+@given(_POINT, _POINT, _POINT, _POINT)
+@example((0, 0), (2, 0), (1, 0), (3, 0))  # collinear overlap
+@example((0, 0), (1, 1), (1, 1), (2, 0))  # shared endpoint
+@example((0, 0), (2, 0), (1, 0), (1, 1))  # T-junction
+@example((0, 0), (2, 2), (0, 2), (2, 0))  # proper crossing
+def test_crossing_predicate_is_exact_on_small_integers(p1, p2, p3, p4):
+    # products of coordinates below 2**53 are exact, so the float
+    # orientations must equal the rational ones
+    assume(p1 != p2 and p3 != p4)
+    pts = [tuple(map(float, q)) for q in (p1, p2, p3, p4)]
+    d = segment_orientations(*pts)
+    assert d == segment_orientations(*[tuple(map(Fraction, q)) for q in (p1, p2, p3, p4)])
+    assert segments_straddle(d, 1e-13) == _exact_meet(p1, p2, p3, p4, proper=True)
+
+
+@_EXACT
+@given(st.lists(_POINT, min_size=3, max_size=7))
+@example([(0, 0), (2, 0), (2, 2), (1, 0), (0, 2)])  # T-junction: a vertex on an edge
+@example([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)])  # a vertex visited twice
+@example([(0, 0), (4, 0), (4, 2), (3, 0), (1, 0), (0, 2)])  # collinear overlap
+@example([(0, 0), (2, 0), (2, 2), (0, 2)])  # simple
+def test_is_simple_is_exact_on_small_integers(pts):
+    n = len(pts)
+    assume(all(pts[i] != pts[(i + 1) % n] for i in range(n)))
+    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    meet = any(
+        _exact_meet(*edges[i], *edges[j], proper=False)
+        for i in range(n)
+        for j in range(i + 2, n - 1 if i == 0 else n)  # skip adjacent edges
+    )
+    assert geometry._is_simple(np.array(pts, dtype=float)) == (not meet)
+
+
+def test_crossing_predicate_broadcasts_bit_identically(rng):
+    # near-degenerate segments: small integers plus tiny noise
+    seg = rng.integers(-3, 4, size=(200, 4)) + rng.normal(scale=1e-14, size=(200, 4))
+    seg[::3] = np.round(seg[::3])
+    a, b = seg.T[:, :, None], seg.T[:, None, :]
+    d = segment_orientations(a[:2], a[2:], b[:2], b[2:])
+    cross = segments_straddle(d, 1e-13)
+    for i in range(0, 200, 7):
+        for j in range(200):
+            q = [tuple(seg[i, :2]), tuple(seg[i, 2:]), tuple(seg[j, :2]), tuple(seg[j, 2:])]
+            dij = segment_orientations(*[tuple(map(float, p)) for p in q])
+            assert dij == tuple(float(dk[i, j]) for dk in d)
+            assert segments_straddle(dij, 1e-13) == cross[i, j]

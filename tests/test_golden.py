@@ -3,12 +3,15 @@
 Two uniform passes on each initial grid with each strategy, written by
 `save_mesh` and hashed. The CNN strategies use the geometric stand-in
 classifier `corner_label`, so the hashes do not depend on a trained model.
+The strategy counts of the two passes are checked first, so a mismatch
+names the branch that moved.
 """
 import hashlib
+from collections import Counter
 
 import pytest
 
-from polyrefine.mesh import GRID_GENERATORS, refine_mesh, save_mesh
+from polyrefine.mesh import GRID_GENERATORS, refine_mesh_report, save_mesh
 from polyrefine.refine import corner_label
 
 GOLDEN = {
@@ -26,12 +29,30 @@ GOLDEN = {
     ("nonconvex", "cnn-mp"): "bd718bfec1f41660cd1fc859b1c4356e56f1056bf60cf0e1b395520bea732fd7",
 }
 
+COUNTS = {
+    ("triangles", "mp"): {"mp": 168},
+    ("triangles", "cnn-rp"): {"cnn-rp": 160},
+    ("triangles", "cnn-mp"): {"cnn-mp": 128},
+    ("voronoi", "mp"): {"mp": 73},
+    ("voronoi", "cnn-rp"): {"cnn-rp": 61},
+    ("voronoi", "cnn-mp"): {"cnn-mp": 54},
+    ("smoothed", "mp"): {"mp": 79},
+    ("smoothed", "cnn-rp"): {"cnn-rp": 68},
+    ("smoothed", "cnn-mp"): {"cnn-mp": 60},
+    ("nonconvex", "mp"): {"mp": 102, "fallback-bisect": 10},
+    ("nonconvex", "cnn-rp"): {"cnn-rp": 67, "fallback-bisect": 15},
+    ("nonconvex", "cnn-mp"): {"cnn-mp": 79, "fallback-bisect": 7},
+}
+
 
 @pytest.mark.parametrize("grid,strategy", sorted(GOLDEN))
 def test_two_uniform_passes_match_golden_hash(tmp_path, grid, strategy):
     m = GRID_GENERATORS[grid]()
+    counts = Counter()
     for _ in range(2):
-        m = refine_mesh(m, range(m.n_elements), strategy, corner_label)
+        m, report = refine_mesh_report(m, range(m.n_elements), strategy, corner_label)
+        counts.update(report.strategy_counts)
+    assert dict(counts) == COUNTS[(grid, strategy)]
     path = tmp_path / "mesh_refined.txt"
     save_mesh(m, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(grid, strategy)]

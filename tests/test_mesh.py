@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyrefine.geometry import is_convex
+from polyrefine.geometry import PolygonError, is_convex
 from polyrefine.mesh import (
     GRID_GENERATORS,
     MeshError,
@@ -184,9 +184,11 @@ _TRIANGLE_FILE = ["POLYMESH 1", "3 1", "0 0", "1 0", "0 1", "3 0 1 2"]
         (_TRIANGLE_FILE[:4], 5),  # ends inside the vertex list
         (["POLYMESH 1", "", "3 1", "0 0", "1 zero", "0 1", "3 0 1 2"], 5),  # blank lines count
         (_TRIANGLE_FILE[:3] + ["1 0 0"] + _TRIANGLE_FILE[4:], 4),  # three coordinates
+        (["POLYMESH 1", "4 1", "0 0", "1 0", "0 1", "nan inf", "3 0 1 2"], 6),  # unused, non-finite
         (_TRIANGLE_FILE[:5], 6),  # ends before the element
         (_TRIANGLE_FILE[:5] + ["4 0 1 2"], 6),  # fewer indices than announced
         (_TRIANGLE_FILE[:5] + ["3 0 1 2.0"], 6),
+        (_TRIANGLE_FILE + ["3 0 1 2"], 7),  # content after the last element
     ],
 )
 def test_load_mesh_errors_name_the_line(tmp_path, lines, line):
@@ -196,6 +198,22 @@ def test_load_mesh_errors_name_the_line(tmp_path, lines, line):
     path.write_text("".join(l + "\n" for l in lines))
     with pytest.raises(MeshError, match=f"^line {line}: "):
         load_mesh(path)
+
+
+def test_load_mesh_names_the_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "mesh.txt"
+    text = "".join(l + "\n" for l in _TRIANGLE_FILE).encode()
+    path.write_bytes(text.replace(b"1 0\n", b"1 \xff\n"))
+    with pytest.raises(MeshError, match="^line 4: not UTF-8 text"):
+        load_mesh(path)
+
+
+def test_load_mesh_names_the_element_of_a_bad_loop(tmp_path):
+    path = tmp_path / "bowtie.txt"
+    path.write_text("POLYMESH 1\n4 1\n0 0\n1 1\n1 0\n0 1\n4 0 1 2 3\n")
+    with pytest.raises(MeshError, match="^element 0: degenerate polygon") as info:
+        load_mesh(path)
+    assert isinstance(info.value.__cause__, PolygonError)
 
 
 def test_save_load_round_trip(tmp_path, rng):

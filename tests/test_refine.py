@@ -4,15 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from polyrefine import refine
 from polyrefine.geometry import Polygon, area, edge_midpoints, regular_polygon
 from polyrefine.refine import (
-    RefinementError,
     Strategy,
     _refinement_points,
     corner_label,
     fallback_bisect,
-    refine_cnn_mp,
-    refine_cnn_rp,
     refine_element,
     refine_mp,
     refinement_points,
@@ -50,12 +48,6 @@ def test_refine_mp_triangle():
 def test_refine_mp_pentagon():
     res = refine_mp(regular_polygon(5))
     assert len(res.children) == 5
-
-
-def test_refine_mp_centroid_outside():
-    # vertex average of this L-shape sits exactly on the reflex corner
-    with pytest.raises(RefinementError, match="non-star"):
-        refine_mp(L_SHAPE)
 
 
 def test_select_representative_vertices_enumeration(rng):
@@ -120,7 +112,7 @@ def test_refinement_points_distorted_quad():
 
 
 def test_cnn_mp_square_matches_mp():
-    res = refine_cnn_mp(SQUARE, lambda p: 4)
+    res = refine_element(SQUARE, Strategy.CNN_MP, lambda p: 4)
     mp = refine_mp(SQUARE)
     got = sorted(sorted(map(tuple, c.coords)) for c in res.children)
     want = sorted(sorted(map(tuple, c.coords)) for c in mp.children)
@@ -128,7 +120,7 @@ def test_cnn_mp_square_matches_mp():
 
 
 def test_cnn_mp_split_square_gives_four_children():
-    res = refine_cnn_mp(SPLIT_SQUARE, lambda p: 4)
+    res = refine_element(SPLIT_SQUARE, Strategy.CNN_MP, lambda p: 4)
     assert res.strategy_used == Strategy.CNN_MP
     assert len(res.children) == 4  # plain MP would give 5
     assert len(refine_mp(SPLIT_SQUARE).children) == 5
@@ -137,7 +129,7 @@ def test_cnn_mp_split_square_gives_four_children():
 
 def test_cnn_mp_pentagon_classified_as_quad():
     pent = Polygon([(0, 0), (1, 0), (1, 1), (0.5, 1.08), (0, 1)])
-    res = refine_cnn_mp(pent, lambda p: 4)
+    res = refine_element(pent, Strategy.CNN_MP, lambda p: 4)
     assert len(res.children) == 4
 
 
@@ -166,26 +158,57 @@ def test_template_regular_counts():
 
 
 def test_refine_cnn_rp_dispatch():
-    res = refine_cnn_rp(regular_polygon(6), lambda p: 6)
+    res = refine_element(regular_polygon(6), Strategy.CNN_RP, lambda p: 6)
     assert len(res.children) == 7
-    res = refine_cnn_rp(regular_polygon(5), lambda p: 5)
+    res = refine_element(regular_polygon(5), Strategy.CNN_RP, lambda p: 5)
     assert len(res.children) == 6
-    res = refine_cnn_rp(TRIANGLE, lambda p: 3)
+    res = refine_element(TRIANGLE, Strategy.CNN_RP, lambda p: 3)
     assert len(res.children) == 4
-    res = refine_cnn_rp(SQUARE, lambda p: 4)
+    res = refine_element(SQUARE, Strategy.CNN_RP, lambda p: 4)
     assert len(res.children) == 4
 
 
 def test_refine_cnn_rp_label_clamped():
     # predicted label above the vertex count is clamped
-    res = refine_cnn_rp(TRIANGLE, lambda p: 6)
+    res = refine_element(TRIANGLE, Strategy.CNN_RP, lambda p: 6)
     assert validate_partition(TRIANGLE, res.children)
 
 
-def test_refine_cnn_rp_nonconvex_falls_back():
-    res = refine_cnn_rp(L_SHAPE, lambda p: 4)
+@pytest.mark.parametrize(
+    "strategy,label",
+    [(Strategy.MP, None)]
+    + [(s, lab) for s in (Strategy.CNN_MP, Strategy.CNN_RP) for lab in (3, 4, 5, 6)],
+)
+def test_centroid_outside_falls_back(strategy, label):
+    # the vertex average of this L-shape sits exactly on the reflex corner
+    res = refine_element(L_SHAPE, strategy, lambda p: label)
     assert res.strategy_used == Strategy.FALLBACK_BISECT
     assert len(res.children) == 2
+    assert validate_partition(L_SHAPE, res.children)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.MP, Strategy.CNN_MP, Strategy.CNN_RP])
+@pytest.mark.parametrize("label", [3, 4, 5])
+def test_invalid_partition_falls_back(strategy, label, monkeypatch):
+    # the strategies do not check their children; refine_element does, once
+    pent = regular_polygon(5)
+    res = refine_element(pent, strategy, lambda p: label)
+    assert res.strategy_used != Strategy.FALLBACK_BISECT
+    calls = []
+    monkeypatch.setattr(refine, "validate_partition", lambda p, c: calls.append(len(c)) or False)
+    assert refine_element(pent, strategy, lambda p: label).strategy_used == Strategy.FALLBACK_BISECT
+    assert calls[0] == len(res.children)
+
+
+def test_classifier_errors_propagate():
+    def broken(p):
+        raise RuntimeError("classifier failed")
+
+    for strategy in (Strategy.CNN_MP, Strategy.CNN_RP):
+        with pytest.raises(RuntimeError, match="classifier failed"):
+            refine_element(L_SHAPE, strategy, broken)
+    with pytest.raises(TypeError):
+        refine_element(SQUARE, Strategy.CNN_MP)
 
 
 def test_rp_square_three_levels_is_64():
@@ -193,7 +216,7 @@ def test_rp_square_three_levels_is_64():
     for _ in range(3):
         out = []
         for p in polys:
-            res = refine_cnn_rp(p, lambda q: 4)
+            res = refine_element(p, Strategy.CNN_RP, lambda q: 4)
             assert res.strategy_used == Strategy.CNN_RP
             out.extend(res.children)
         polys = out
