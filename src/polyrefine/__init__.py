@@ -5,7 +5,7 @@ small from-scratch CNN; the predicted label drives the CNN-MP and CNN-RP
 refinement strategies. Quality metrics and a lowest-order virtual element
 Poisson solver validate the refined grids.
 """
-from .geometry import Point2, Polygon, PolygonError
+from .geometry import Polygon, PolygonError
 from .mesh import PolyMesh, load_mesh, save_mesh
 from .raster import BinaryImage, rasterize
 from .refine import RefinementResult, Strategy
@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryImage",
-    "Point2",
     "PolyMesh",
     "Polygon",
     "PolygonError",

@@ -16,11 +16,7 @@ from .layers import (
     DenseLayer,
     MaxPoolLayer,
     ReLULayer,
-    batchnorm_forward,
-    conv_forward,
     cross_entropy,
-    pool_forward,
-    relu,
     softmax,
     softmax_cross_entropy,
 )
@@ -50,18 +46,14 @@ __all__ = [
     "accuracy",
     "adam_step",
     "batch_arrays",
-    "batchnorm_forward",
     "compute_gradients",
     "confusion_matrix",
-    "conv_forward",
     "cross_entropy",
     "evaluate",
     "generate_dataset",
     "load_dataset",
     "load_model",
     "perturbed_polygon",
-    "pool_forward",
-    "relu",
     "save_dataset",
     "save_model",
     "softmax",

@@ -333,29 +333,3 @@ def softmax_cross_entropy(logits: np.ndarray, y: np.ndarray):
     dlogits = ((np.exp(logp) - y) / n).astype(dt, copy=False)
     return loss, dlogits
 
-
-# single-tensor convenience wrappers matching the batched layers
-
-def conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Convolve one (m, n, c) tensor."""
-    return layer.forward(np.asarray(x, dtype=float)[None], train=False)[0]
-
-
-def pool_forward(x: np.ndarray, size: int = 2) -> np.ndarray:
-    """Max-pool one (m, n, c) tensor; 2D input is treated as one channel."""
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[..., None]
-    out = MaxPoolLayer(size).forward(x[None], train=False)[0]
-    return out[..., 0] if squeeze else out
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-
-def batchnorm_forward(x: np.ndarray, layer: BatchNormLayer, mode: str = "infer") -> np.ndarray:
-    if mode not in ("train", "infer"):
-        raise ValueError("mode must be 'train' or 'infer'")
-    return layer.forward(np.asarray(x, dtype=float), train=(mode == "train"))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ..geometry import Polygon
-from ..raster import RESOLUTION, BinaryImage, rasterize
+from ..raster import RESOLUTION, rasterize
 from .layers import (
     BatchNormLayer,
     ConvLayer,
@@ -60,11 +60,6 @@ class Network:
         if x.ndim == 3:
             x = x[..., None]
         return softmax(self.forward_logits(x, train=train))
-
-    def forward_single(self, image) -> np.ndarray:
-        """Probability vector for one image (BinaryImage or pixel array)."""
-        px = image.pixels if isinstance(image, BinaryImage) else np.asarray(image)
-        return self.forward(px[None].astype(float))[0]
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
         g = dlogits
@@ -120,13 +115,10 @@ class Network:
         return x * scale + shift
 
     # -- classification ---------------------------------------------------------
-    def classify_image(self, image) -> int:
-        """Predicted vertex-count label; argmax ties resolve to the smaller label."""
-        probs = self.forward_single(image)
-        return int(np.argmax(probs)) + 3
-
     def classify_polygon(self, p: Polygon) -> int:
-        return self.classify_image(rasterize(p))
+        """Predicted vertex-count label of the polygon's raster, computed in
+        float64; argmax ties resolve to the smaller label."""
+        return int(np.argmax(self.forward(rasterize(p).pixels[None])[0])) + 3
 
     # -- persistence -------------------------------------------------------------
     def save(self, path) -> None:
@@ -197,11 +189,19 @@ class _Reader:
         return arr.reshape(shape).astype(np.float64)
 
 
+def _check(ok: bool, at: int, what: str) -> None:
+    if not ok:
+        raise ValueError(f"byte {at}: {what}")
+
+
 def load_model(path) -> Network:
     """Read a `save_model` file. A wrong magic number or version, an unknown
     layer tag, a truncated file or trailing bytes raise ValueError naming the
     byte offset. Every array is read before its layer is built, so a corrupt
-    size fails on the file length instead of allocating."""
+    size fails on the file length instead of allocating. The layer shapes
+    are replayed from the header's resolution: each layer must take what the
+    layers before it give, and the last layer must be dense with one output
+    per class; otherwise the ValueError names the byte and the layer."""
     r = _Reader(Path(path).read_bytes())
     (magic,) = r.unpack("8s", "magic number")
     if magic != _MAGIC:
@@ -214,32 +214,44 @@ def load_model(path) -> Network:
     net.n_classes = n_classes
     net.resolution = resolution
     net.layers = []
+    size, channels = resolution, 1  # the (size, size, channels) input of the next layer
     for i in range(n_layers):
         at = r.pos
         (tag,) = r.unpack("<B", f"tag of layer {i}")
+        _check(
+            not net.layers or not isinstance(net.layers[-1], DenseLayer),
+            at, f"layer {i} follows the dense layer {i - 1}, which must be the last",
+        )
         if tag == 1:
             k, c_in, maps = r.unpack("<III", f"header of layer {i}")
+            _check(c_in == channels, at, f"layer {i} (conv) takes {c_in} channels, not {channels}")
             K = 2 * k + 1
             kernel = r.array((K, K, c_in, maps), f"kernel of layer {i}")
             bias = r.array((maps,), f"bias of layer {i}")
             layer = ConvLayer(c_in, maps, k=k)
             layer.kernel, layer.bias = kernel, bias
+            channels = maps
         elif tag == 2:
-            (channels,) = r.unpack("<I", f"header of layer {i}")
+            (c,) = r.unpack("<I", f"header of layer {i}")
+            _check(c == channels, at, f"layer {i} (batch norm) takes {c} channels, not {channels}")
             momentum, eps = r.unpack("<dd", f"header of layer {i}")
             stats = [
-                r.array((channels,), f"{name} of layer {i}")
+                r.array((c,), f"{name} of layer {i}")
                 for name in ("gamma", "beta", "running mean", "running variance")
             ]
-            layer = BatchNormLayer(channels, momentum=momentum, eps=eps)
+            layer = BatchNormLayer(c, momentum=momentum, eps=eps)
             layer.gamma, layer.beta, layer.running_mean, layer.running_var = stats
         elif tag == 3:
             layer = ReLULayer()
         elif tag == 4:
-            (size,) = r.unpack("<I", f"header of layer {i}")
-            layer = MaxPoolLayer(size)
+            (pool,) = r.unpack("<I", f"header of layer {i}")
+            _check(pool >= 1, at, f"layer {i} (max pool) has window size 0")
+            layer = MaxPoolLayer(pool)
+            size = -(-size // pool)
         elif tag == 5:
             n_in, n_out = r.unpack("<II", f"header of layer {i}")
+            flat = size * size * channels
+            _check(n_in == flat, at, f"layer {i} (dense) takes {n_in} features, not {flat}")
             weights = r.array((n_in, n_out), f"weights of layer {i}")
             bias = r.array((n_out,), f"bias of layer {i}")
             layer = DenseLayer(n_in, n_out)
@@ -247,6 +259,12 @@ def load_model(path) -> Network:
         else:
             raise ValueError(f"byte {at}: unknown layer tag {tag}")
         net.layers.append(layer)
+    last = net.layers[-1] if net.layers else None
+    _check(isinstance(last, DenseLayer), r.pos, "the last layer is not a dense layer")
+    _check(
+        last.out_features == n_classes,
+        12, f"the header declares {n_classes} classes, the last layer (dense) has {last.out_features} outputs",
+    )
     if r.pos != len(r.data):
         raise ValueError(f"byte {r.pos}: trailing bytes after the last layer")
     return net

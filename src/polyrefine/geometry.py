@@ -1,25 +1,21 @@
 """2D geometric kernel for simple polygons.
 
-Vertex loops are stored counter-clockwise; clockwise input is reversed on
-construction. Aligned (collinear) vertices are legal and preserved, since
-meshes with hanging nodes rely on them. `Polygon(...)` checks its input;
-`Polygon.trusted(...)` wraps coordinates derived from checked geometry.
+A point is a row of a float64 (k, 2) array. Vertex loops are stored
+counter-clockwise; clockwise input is reversed on construction. Aligned
+(collinear) vertices are legal and preserved, since meshes with hanging
+nodes rely on them. `Polygon(...)` checks its input; `Polygon.trusted(...)`
+wraps coordinates derived from checked geometry.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # Relative geometric tolerance: absolute tolerances are REL_TOL * diameter.
 REL_TOL = 1e-10
-
-
-class Point2(NamedTuple):
-    x: float
-    y: float
 
 
 class PolygonError(ValueError):
@@ -95,10 +91,13 @@ class Polygon:
     __slots__ = ("coords",)
 
     def __init__(self, vertices: Sequence) -> None:
-        arr = np.asarray(
-            [(float(p[0]), float(p[1])) for p in vertices], dtype=np.float64
-        )
-        if arr.ndim != 2 or arr.shape[0] < 3:
+        try:
+            arr = np.array(vertices, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise PolygonError(f"vertices are not an (n, 2) array of numbers: {e}") from None
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise PolygonError(f"vertices must be shaped (n, 2), not {arr.shape}")
+        if arr.shape[0] < 3:
             raise PolygonError("polygon needs at least 3 vertices")
         if not np.isfinite(arr).all():
             raise PolygonError("non-finite vertex coordinates")
@@ -130,21 +129,16 @@ class Polygon:
     def n(self) -> int:
         return len(self.coords)
 
-    @property
-    def vertices(self) -> tuple[Point2, ...]:
-        return tuple(Point2(float(x), float(y)) for x, y in self.coords)
-
     def __repr__(self) -> str:
         return f"Polygon({self.n} vertices)"
 
 
-def centroid(p: Polygon) -> Point2:
+def centroid(p: Polygon) -> np.ndarray:
     """Arithmetic mean of the vertex coordinates (not the area centroid)."""
-    c = p.coords.mean(axis=0)
-    return Point2(float(c[0]), float(c[1]))
+    return p.coords.mean(axis=0)
 
 
-def area_centroid(p: Polygon) -> Point2:
+def area_centroid(p: Polygon) -> np.ndarray:
     """Center of mass of the enclosed region (used by Lloyd smoothing)."""
     x, y = p.coords[:, 0], p.coords[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
@@ -152,7 +146,7 @@ def area_centroid(p: Polygon) -> Point2:
     a = 0.5 * float(np.sum(cross))
     cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
     cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
-    return Point2(cx, cy)
+    return np.array([cx, cy])
 
 
 def area(p: Polygon) -> float:
@@ -173,9 +167,9 @@ def edge_lengths(p: Polygon) -> np.ndarray:
     return np.hypot(*(np.roll(p.coords, -1, axis=0) - p.coords).T)
 
 
-def edge_midpoints(p: Polygon) -> list[Point2]:
-    mids = 0.5 * (p.coords + np.roll(p.coords, -1, axis=0))
-    return [Point2(float(x), float(y)) for x, y in mids]
+def edge_midpoints(p: Polygon) -> np.ndarray:
+    """Midpoint of edge i (from vertex i to vertex i + 1) in row i."""
+    return 0.5 * (p.coords + np.roll(p.coords, -1, axis=0))
 
 
 def geom_tol(p: Polygon) -> float:
@@ -332,10 +326,6 @@ def regular_polygon(n: int, radius: float = 1.0, center=(0.0, 0.0), phase: float
     ang = phase + 2.0 * np.pi * np.arange(n) / n
     pts = np.column_stack([center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)])
     return Polygon(pts)
-
-
-def segment_point(a, b, t: float) -> Point2:
-    return Point2(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
 def point_on_segment(q, a, b, tol: float) -> bool:

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import (
-    Point2,
     Polygon,
     PolygonError,
     _signed_area,
@@ -220,8 +219,8 @@ class _WorkingMesh:
         return ids
 
     # -- hanging-node insertion ----------------------------------------------
-    def insert_boundary_point(self, pt: Point2, old_loop: list[int]) -> None:
-        vid = self.reg.add(pt.x, pt.y)
+    def insert_boundary_point(self, x: float, y: float, old_loop: list[int]) -> None:
+        vid = self.reg.add(x, y)
         host = None
         for k in range(len(old_loop)):
             u, w = old_loop[k], old_loop[(k + 1) % len(old_loop)]
@@ -351,8 +350,8 @@ def refine_mesh_report(
         res: RefinementResult = refine_element(poly, strategy, classifier, rho)
         old_loop = list(work.loops[eid])
         work.replace(eid, res.children)
-        for pt in res.new_boundary_points:
-            work.insert_boundary_point(pt, old_loop)
+        for x, y in res.new_boundary_points.tolist():
+            work.insert_boundary_point(x, y, old_loop)
         name = res.strategy_used.value
         strategy_counts[name] = strategy_counts.get(name, 0) + 1
     new_mesh, report = work.finish(mesh.n_elements)

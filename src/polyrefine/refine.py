@@ -5,6 +5,13 @@ A strategy (`refine_mp`, the CNN-MP fan, `template_triangle`,
 not check them. `refine_element` is the one place that classifies, tests the
 centroid, validates the partition and falls back to bisection.
 
+Points are rows of float64 (k, 2) arrays. The CNN strategies number an
+element's boundary candidates in boundary order, vertex i as 2i and the
+midpoint of edge i as 2i + 1 (`_boundary`), so a refinement point is one
+integer: an odd one is a hanging node for the neighbours, and the walk
+between two refinement points is both ends plus the even indices between
+them.
+
 The classifier-driven strategies accept either a plain callable mapping a
 Polygon to an integer label (3 = triangle, 4 = quad, ...) or any object with
 a ``classify_polygon`` method (e.g. a trained Network).
@@ -19,7 +26,6 @@ from enum import Enum
 import numpy as np
 
 from .geometry import (
-    Point2,
     Polygon,
     PolygonError,
     area,
@@ -33,7 +39,6 @@ from .geometry import (
     geom_tol,
     point_on_segment,
     segment_orientations,
-    segment_point,
     segments_straddle,
     strictly_inside,
 )
@@ -56,15 +61,8 @@ class RefinementError(ValueError):
 @dataclass
 class RefinementResult:
     children: list[Polygon]
-    new_boundary_points: list[Point2]
+    new_boundary_points: np.ndarray  # (k, 2): hanging nodes for the neighbours
     strategy_used: Strategy
-
-
-@dataclass(frozen=True)
-class _BoundaryPoint:
-    s: float  # arc-length parameter along the loop
-    point: Point2
-    vertex_index: int | None  # index into the loop when the point is a vertex
 
 
 def _as_classifier(obj):
@@ -76,12 +74,6 @@ def _as_classifier(obj):
     if callable(obj):
         return obj
     raise TypeError("classifier must be callable or expose classify_polygon()")
-
-
-def _vertex_arcs(p: Polygon) -> tuple[np.ndarray, float]:
-    lens = edge_lengths(p)
-    starts = np.concatenate([[0.0], np.cumsum(lens)[:-1]])
-    return starts, float(lens.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +88,18 @@ def refine_mp(p: Polygon) -> RefinementResult:
     """
     c = centroid(p)
     mids = edge_midpoints(p)
-    verts = p.vertices
-    children = [Polygon((verts[i], mids[i], c, mids[i - 1])) for i in range(p.n)]
-    return RefinementResult(children, list(mids), Strategy.MP)
+    v = p.coords
+    children = [Polygon((v[i], mids[i], c, mids[i - 1])) for i in range(p.n)]
+    return RefinementResult(children, mids, Strategy.MP)
 
 
 # ---------------------------------------------------------------------------
 # refinement-point identification (shared by CNN-MP and CNN-RP)
 # ---------------------------------------------------------------------------
 
-def select_representative_vertices(p: Polygon, label: int) -> list[Point2]:
+def select_representative_vertices(p: Polygon, label: int) -> np.ndarray:
     """The label-sized vertex subset maximizing the sum of pairwise distances."""
-    idx = _representative_indices(p, label)
-    return [Point2(float(p.coords[i, 0]), float(p.coords[i, 1])) for i in idx]
+    return p.coords[_representative_indices(p, label)]
 
 
 def _representative_indices(p: Polygon, label: int) -> list[int]:
@@ -136,113 +127,96 @@ def _representative_indices(p: Polygon, label: int) -> list[int]:
     return sorted(chosen)
 
 
-def _candidate_points(p: Polygon) -> list[_BoundaryPoint]:
-    starts, _ = _vertex_arcs(p)
-    lens = edge_lengths(p)
-    out = [
-        _BoundaryPoint(float(starts[i]), Point2(float(p.coords[i, 0]), float(p.coords[i, 1])), i)
-        for i in range(p.n)
-    ]
-    mids = edge_midpoints(p)
-    out.extend(
-        _BoundaryPoint(float(starts[i] + 0.5 * lens[i]), mids[i], None)
-        for i in range(p.n)
-    )
+def _boundary(p: Polygon) -> np.ndarray:
+    """The (2n, 2) boundary candidates in boundary order: vertex i in row 2i,
+    the midpoint of edge i in row 2i + 1."""
+    out = np.empty((2 * p.n, 2))
+    out[0::2], out[1::2] = p.coords, edge_midpoints(p)
     return out
 
 
-def _refinement_points(p: Polygon, label: int) -> list[_BoundaryPoint]:
-    rep = _representative_indices(p, label)
-    rep_pts = p.coords[rep]
+def _refinement_points(p: Polygon, label: int) -> list[int]:
+    """Sorted, unique `_boundary` rows of the refinement points: for each edge
+    midpoint of the representative polygon, the nearest candidate (then the
+    nearest to the centroid; then vertices before midpoints, by index)."""
+    rep_pts = p.coords[_representative_indices(p, label)]
     hat_mids = 0.5 * (rep_pts + np.roll(rep_pts, -1, axis=0))
     c = centroid(p)
-    cands = _candidate_points(p)
-    cxy = np.array([[bp.point.x, bp.point.y] for bp in cands])
-    d_c = np.hypot(cxy[:, 0] - c.x, cxy[:, 1] - c.y)
-    chosen: dict[float, _BoundaryPoint] = {}
+    cands = np.vstack([p.coords, edge_midpoints(p)])
+    d_c = np.hypot(cands[:, 0] - c[0], cands[:, 1] - c[1])
+    chosen = set()
     for m in hat_mids:
-        d_m = np.hypot(cxy[:, 0] - m[0], cxy[:, 1] - m[1])
-        # closest to the representative midpoint, then closest to c_P
-        bp = cands[int(np.lexsort((d_c, d_m))[0])]
-        chosen[bp.s] = bp
-    return sorted(chosen.values(), key=lambda bp: bp.s)
+        d_m = np.hypot(cands[:, 0] - m[0], cands[:, 1] - m[1])
+        w = int(np.lexsort((d_c, d_m))[0])
+        chosen.add(2 * w if w < p.n else 2 * (w - p.n) + 1)
+    return sorted(chosen)
 
 
-def refinement_points(p: Polygon, label: int) -> list[Point2]:
+def refinement_points(p: Polygon, label: int) -> np.ndarray:
     """Boundary points acting as edge midpoints of the approximating polygon."""
-    return [bp.point for bp in _refinement_points(p, label)]
+    return _boundary(p)[_refinement_points(p, label)]
 
 
-def _walk(p: Polygon, a: _BoundaryPoint, b: _BoundaryPoint) -> list[Point2]:
-    """Points from a to b CCW along the boundary, inclusive of both ends."""
-    starts, per = _vertex_arcs(p)
-    eps = 1e-12 * per
-    sb = b.s if b.s > a.s + eps else b.s + per
-    inner = []
-    for i in range(p.n):
-        for base in (0.0, per):
-            s = starts[i] + base
-            if a.s + eps < s < sb - eps:
-                inner.append((s, Point2(float(p.coords[i, 0]), float(p.coords[i, 1]))))
-    inner.sort(key=lambda t: t[0])
-    return [a.point] + [pt for _, pt in inner] + [b.point]
+def _walk(bnd: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows of `bnd` from index a to index b CCW along the boundary: both
+    ends and the vertices (even indices) strictly between."""
+    m = len(bnd)
+    steps = (b - a - 1) % m + 1
+    return bnd[[a] + [i % m for i in range(a + 1, a + steps) if i % 2 == 0] + [b]]
 
 
-def _new_points(rps: list[_BoundaryPoint]) -> list[Point2]:
-    """Refinement points that are not vertices: hanging nodes for neighbours."""
-    return [bp.point for bp in rps if bp.vertex_index is None]
+def _result(bnd: np.ndarray, loops, rps: list[int], tag: Strategy) -> RefinementResult:
+    """Children from the loops; the odd refinement points (edge midpoints)
+    are the hanging nodes for the neighbours."""
+    return RefinementResult([Polygon(loop) for loop in loops], bnd[[i for i in rps if i % 2]], tag)
 
 
 # ---------------------------------------------------------------------------
 # CNN-enhanced mid-point strategy
 # ---------------------------------------------------------------------------
 
-def _fan(p: Polygon, rps: list[_BoundaryPoint], tag: Strategy) -> RefinementResult:
+def _fan(p: Polygon, rps: list[int], tag: Strategy) -> RefinementResult:
     """Join each boundary walk between consecutive refinement points to the
     centroid: CNN-MP, and CNN-RP's quad template."""
     if len(rps) < 3:
         raise RefinementError("fan needs at least 3 refinement points")
-    c = centroid(p)
-    k = len(rps)
-    children = [Polygon(_walk(p, rps[j], rps[(j + 1) % k]) + [c]) for j in range(k)]
-    return RefinementResult(children, _new_points(rps), tag)
+    bnd, c, k = _boundary(p), centroid(p), len(rps)
+    loops = [np.vstack([_walk(bnd, rps[j], rps[(j + 1) % k]), c]) for j in range(k)]
+    return _result(bnd, loops, rps, tag)
 
 
 # ---------------------------------------------------------------------------
 # reference-polygon templates
 # ---------------------------------------------------------------------------
 
-def template_triangle(p: Polygon, rps: list[_BoundaryPoint]) -> RefinementResult:
+def template_triangle(p: Polygon, rps: list[int]) -> RefinementResult:
     """Connect three refinement points (from `_refinement_points`) into four
     triangle-like children."""
     if len(rps) != 3:
         raise RefinementError("triangle template needs exactly 3 points")
+    bnd = _boundary(p)
     loops = []
     for j in range(3):
-        walk = _walk(p, rps[j], rps[(j + 1) % 3])
+        walk = _walk(bnd, rps[j], rps[(j + 1) % 3])
         if len(walk) < 3:
             raise RefinementError("empty boundary walk between refinement points")
         loops.append(walk)
-    loops.append([rps[0].point, rps[1].point, rps[2].point])
-    return RefinementResult([Polygon(loop) for loop in loops], _new_points(rps), Strategy.CNN_RP)
+    loops.append(bnd[rps])
+    return _result(bnd, loops, rps, Strategy.CNN_RP)
 
 
-def template_regular(p: Polygon, rps: list[_BoundaryPoint], rho: float = 0.5) -> RefinementResult:
+def template_regular(p: Polygon, rps: list[int], rho: float = 0.5) -> RefinementResult:
     """Inner scaled polygon plus one boundary pentagon per refinement point
     (from `_refinement_points`)."""
     k = len(rps)
     if k < 3:
         raise RefinementError("regular template needs at least 3 points")
-    c = centroid(p)
-    inner = [
-        Point2(c.x + rho * (bp.point.x - c.x), c.y + rho * (bp.point.y - c.y))
-        for bp in rps
+    bnd, c = _boundary(p), centroid(p)
+    inner = c + rho * (bnd[rps] - c)
+    loops = [inner] + [
+        np.vstack([_walk(bnd, rps[j - 1], rps[j]), inner[j], inner[j - 1]]) for j in range(k)
     ]
-    loops = [list(inner)]
-    for j in range(k):
-        walk = _walk(p, rps[j - 1], rps[j])
-        loops.append(walk + [inner[j], inner[j - 1]])
-    return RefinementResult([Polygon(loop) for loop in loops], _new_points(rps), Strategy.CNN_RP)
+    return _result(bnd, loops, rps, Strategy.CNN_RP)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +226,11 @@ def template_regular(p: Polygon, rps: list[_BoundaryPoint], rho: float = 0.5) ->
 def fallback_bisect(p: Polygon) -> RefinementResult:
     """Split into two comparable children along an interior diagonal."""
     if p.n == 3:
-        lens = edge_lengths(p)
-        i = int(np.argmax(lens))
-        v = p.vertices
-        m = segment_point(v[i], v[(i + 1) % 3], 0.5)
-        children = [
-            Polygon((v[i], m, v[(i + 2) % 3])),
-            Polygon((m, v[(i + 1) % 3], v[(i + 2) % 3])),
-        ]
-        return RefinementResult(children, [m], Strategy.FALLBACK_BISECT)
+        i = int(np.argmax(edge_lengths(p)))
+        a, b, c = p.coords[[i, (i + 1) % 3, (i + 2) % 3]]
+        m = a + 0.5 * (b - a)
+        children = [Polygon((a, m, c)), Polygon((m, b, c))]
+        return RefinementResult(children, m[None], Strategy.FALLBACK_BISECT)
 
     n = p.n
     tol = geom_tol(p)
@@ -284,8 +254,8 @@ def fallback_bisect(p: Polygon) -> RefinementResult:
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
     for _, _, _, pair in candidates:
         if validate_partition(p, pair):
-            return RefinementResult(list(pair), [], Strategy.FALLBACK_BISECT)
-    return RefinementResult(list(candidates[0][3]), [], Strategy.FALLBACK_BISECT)
+            return RefinementResult(list(pair), np.empty((0, 2)), Strategy.FALLBACK_BISECT)
+    return RefinementResult(list(candidates[0][3]), np.empty((0, 2)), Strategy.FALLBACK_BISECT)
 
 
 def _diagonal_is_interior(p: Polygon, i: int, j: int, tol: float) -> bool:

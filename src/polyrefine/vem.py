@@ -143,7 +143,7 @@ def local_stiffness(p: Polygon) -> np.ndarray:
 def polygon_quadrature(p: Polygon) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature points/weights from a signed fan about the vertex-average
     centroid; exact to degree 4 for any simple polygon."""
-    c = np.asarray(centroid(p))
+    c = centroid(p)
     a = p.coords
     b = np.roll(a, -1, axis=0)
     # signed triangle areas of (c, a_i, b_i)
@@ -188,8 +188,8 @@ def assemble(mesh: PolyMesh, case: ManufacturedCase) -> LinearSystem:
         rows.append(ii.ravel())
         cols.append(jj.ravel())
         vals.append(K.ravel())
-        c = centroid(p)
-        rhs[idx] += float(case.forcing(c.x, c.y)) * area(p) / len(loop)
+        cx, cy = centroid(p).tolist()
+        rhs[idx] += float(case.forcing(cx, cy)) * area(p) / len(loop)
     A = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nv, nv),

@@ -9,11 +9,7 @@ from polyrefine.cnn import (
     DenseLayer,
     MaxPoolLayer,
     ReLULayer,
-    batchnorm_forward,
-    conv_forward,
     cross_entropy,
-    pool_forward,
-    relu,
     softmax,
     softmax_cross_entropy,
 )
@@ -57,6 +53,11 @@ def pool_oracle(x, size=2):
     return out
 
 
+def pool2d(x):
+    """Max-pool one 2D array as a single channel."""
+    return MaxPoolLayer(2).forward(x[None, :, :, None])[0, :, :, 0]
+
+
 # ---------------------------------------------------------------------------
 # forward oracles and worked examples
 # ---------------------------------------------------------------------------
@@ -65,14 +66,14 @@ def test_conv_identity_kernel():
     layer = ConvLayer(1, 1, k=1)
     layer.kernel[1, 1, 0, 0] = 1.0
     x = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]
-    assert conv_forward(x, layer)[:, :, 0] == pytest.approx(x[:, :, 0])
+    assert layer.forward(x[None])[0][:, :, 0] == pytest.approx(x[:, :, 0])
 
 
 def test_conv_all_ones_kernel():
     layer = ConvLayer(1, 1, k=1)
     layer.kernel[:, :, 0, 0] = 1.0
     x = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]
-    out = conv_forward(x, layer)[:, :, 0]
+    out = layer.forward(x[None])[0][:, :, 0]
     assert out == pytest.approx(np.full((2, 2), 10.0))
 
 
@@ -80,7 +81,7 @@ def test_conv_zero_kernel_gives_bias():
     layer = ConvLayer(2, 3, k=1)
     layer.bias[:] = (0.5, -1.0, 2.0)
     x = np.random.default_rng(0).normal(size=(4, 4, 2))
-    out = conv_forward(x, layer)
+    out = layer.forward(x[None])[0]
     for o, b in enumerate(layer.bias):
         assert out[:, :, o] == pytest.approx(np.full((4, 4), b))
 
@@ -96,25 +97,28 @@ def test_conv_matches_oracle(rng):
     for c, h in ((2, 3), (4, 32)):
         layer = ConvLayer(c, h, k=1, rng=rng)
         x = rng.normal(size=(8, 8, c))
-        assert np.abs(conv_forward(x, layer) - conv_oracle(x, layer)).max() < 1e-12
+        assert np.abs(layer.forward(x[None])[0] - conv_oracle(x, layer)).max() < 1e-12
 
 
 def test_pool_examples():
-    out = pool_forward(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    out = pool2d(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert out.shape == (1, 1) and out[0, 0] == 4.0
     fives = np.full((3, 3), 5.0)
-    assert (pool_forward(fives) == np.full((2, 2), 5.0)).all()
-    assert (pool_forward(np.zeros((4, 4))) == np.zeros((2, 2))).all()
+    assert (pool2d(fives) == np.full((2, 2), 5.0)).all()
+    assert (pool2d(np.zeros((4, 4))) == np.zeros((2, 2))).all()
 
 
 def test_pool_matches_oracle(rng):
     for shape in ((6, 6, 3), (5, 7, 2)):
         x = rng.normal(size=shape)
-        got = pool_forward(x)
+        got = MaxPoolLayer(2).forward(x[None])[0]
         assert np.abs(got - pool_oracle(x)).max() < 1e-12
 
 
 def test_relu():
+    def relu(x):
+        return ReLULayer().forward(x[None])[0]
+
     assert relu(np.array([-1.0, 0.0, 2.0])) == pytest.approx([0.0, 0.0, 2.0])
     x = -np.abs(np.random.default_rng(1).normal(size=(3, 3)))
     assert relu(x) == pytest.approx(np.zeros((3, 3)))
@@ -126,15 +130,13 @@ def test_batchnorm_modes(rng):
     layer = BatchNormLayer(2)
     x = rng.normal(size=(8, 4, 4, 2))
     x = (x - x.mean(axis=(0, 1, 2))) / x.std(axis=(0, 1, 2))
-    out = batchnorm_forward(x, layer, mode="train")
+    out = layer.forward(x, train=True)
     assert np.abs(out - x).max() < 1e-4  # gamma=1, beta=0, unit stats
     layer.gamma[:] = 0.0
     layer.beta[:] = (1.5, -2.0)
-    out = batchnorm_forward(x, layer, mode="train")
+    out = layer.forward(x, train=True)
     assert out[..., 0] == pytest.approx(np.full((8, 4, 4), 1.5))
     assert out[..., 1] == pytest.approx(np.full((8, 4, 4), -2.0))
-    with pytest.raises(ValueError):
-        batchnorm_forward(x, layer, mode="banana")
 
 
 def test_batchnorm_infer_formula():
@@ -143,7 +145,7 @@ def test_batchnorm_infer_formula():
     layer.beta[:] = 1.0
     layer.running_mean[:] = 0.0
     layer.running_var[:] = 1.0
-    out = batchnorm_forward(np.full((1, 1, 1, 1), 3.0), layer, mode="infer")
+    out = layer.forward(np.full((1, 1, 1, 1), 3.0), train=False)
     assert out.ravel()[0] == pytest.approx(7.0, abs=1e-4)
 
 

@@ -124,6 +124,6 @@ def test_classify_tie_breaks_to_smaller_label():
     # zero the dense layer: all logits equal, argmax picks class 0 -> label 3
     net.layers[-1].weights[:] = 0.0
     net.layers[-1].bias[:] = 0.0
-    img = np.zeros((64, 64), dtype=np.uint8)
-    img[20:40, 20:40] = 1
-    assert net.classify_image(img) == 3
+    from polyrefine.geometry import Polygon
+
+    assert net.classify_polygon(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])) == 3

@@ -48,12 +48,19 @@ def test_polygon_validation():
         Polygon([(0, 0), (1, 0), (2, 0)])  # zero area
     with pytest.raises(PolygonError):
         Polygon([(0, 0), (np.nan, 0), (0, 1)])
+    # input that is not shaped (n, 2)
+    with pytest.raises(PolygonError, match=r"\(n, 2\)"):
+        Polygon([(0, 0, 9), (1, 0, 9), (0, 1, 9)])
+    with pytest.raises(PolygonError, match=r"\(n, 2\)"):
+        Polygon([(0,), (1,), (2,)])
+    with pytest.raises(PolygonError, match=r"\(n, 2\)"):
+        Polygon([(0, 0), (1, 0), (0,)])  # ragged
 
 
 def test_cw_input_reversed():
     p = Polygon([(0, 0), (0, 1), (1, 1), (1, 0)])  # clockwise
     assert area(p) == pytest.approx(1.0)  # signed area positive after reversal
-    assert set(p.vertices) == {(0, 0), (0, 1), (1, 1), (1, 0)}
+    assert set(map(tuple, p.coords.tolist())) == {(0, 0), (0, 1), (1, 1), (1, 0)}
 
 
 def test_trusted_wraps_a_read_only_copy(rng):
@@ -90,16 +97,16 @@ def test_area_perimeter_diameter():
 
 
 def test_edge_midpoints():
-    assert edge_midpoints(SQUARE) == [
-        (0.5, 0.0),
-        (1.0, 0.5),
-        (0.5, 1.0),
-        (0.0, 0.5),
+    assert edge_midpoints(SQUARE).tolist() == [
+        [0.5, 0.0],
+        [1.0, 0.5],
+        [0.5, 1.0],
+        [0.0, 0.5],
     ]
-    assert edge_midpoints(TRIANGLE) == [(0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]
-    mids = edge_midpoints(SPLIT_SQUARE)
+    assert edge_midpoints(TRIANGLE).tolist() == [[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]
+    mids = edge_midpoints(SPLIT_SQUARE).tolist()
     assert len(mids) == 5
-    assert (0.25, 0.0) in mids and (0.75, 0.0) in mids
+    assert [0.25, 0.0] in mids and [0.75, 0.0] in mids
 
 
 def test_contains():

@@ -140,6 +140,30 @@ def test_committed_classifier_loads_and_round_trips(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (12, 9, r"^byte 12: the header declares 9 classes, the last layer \(dense\) has 4 outputs"),
+        (16, 65, r"^byte \d+: layer 23 \(dense\) takes 256 features, not 576"),
+    ],
+)
+def test_header_that_contradicts_the_layers_is_rejected(tmp_path, field, value, message):
+    src = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "classifier.bin"
+    raw = bytearray(src.read_bytes())
+    raw[field : field + 4] = value.to_bytes(4, "little")  # n_classes, resolution
+    path = tmp_path / "model.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
+def test_small_model_round_trips(tmp_path, valid_files):
+    path = tmp_path / "model.bin"
+    path.write_bytes(valid_files["model"])
+    save_model(load_model(path), path)
+    assert path.read_bytes() == valid_files["model"]
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("P1\n", "missing width"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -36,7 +37,7 @@ def test_refine_mp_square():
     assert len(res.children) == 4
     assert child_areas(res) == pytest.approx([0.25] * 4)
     assert res.strategy_used == Strategy.MP
-    assert sorted(res.new_boundary_points) == sorted(edge_midpoints(SQUARE))
+    assert np.array_equal(res.new_boundary_points, edge_midpoints(SQUARE))
 
 
 def test_refine_mp_triangle():
@@ -227,7 +228,7 @@ def test_rp_square_three_levels_is_64():
 def test_fallback_bisect_square():
     res = fallback_bisect(SQUARE)
     assert child_areas(res) == pytest.approx([0.5, 0.5])
-    assert res.new_boundary_points == []
+    assert res.new_boundary_points.shape == (0, 2)
 
 
 def test_fallback_bisect_l_shape_oracle():
@@ -245,7 +246,7 @@ def test_fallback_bisect_triangle():
     res = fallback_bisect(TRIANGLE)
     assert len(res.children) == 2
     assert child_areas(res) == pytest.approx([0.25, 0.25])
-    assert len(res.new_boundary_points) == 1
+    assert res.new_boundary_points.tolist() == [[0.5, 0.5]]  # hypotenuse midpoint
 
 
 def test_validate_partition_rejects_bad_partitions():
@@ -287,11 +288,22 @@ def test_strategy_equivariance(strategy, rng):
             assert b.coords == pytest.approx(a.coords * scale + shift, rel=1e-9, abs=1e-9)
 
 
+# SHA-256 over the strategy used, every child's coordinates and the new
+# boundary points of the 1000 refinements in test_partition_validity_property
+PARTITION_HASHES = {
+    Strategy.MP: "4816b0d1b044ba9e1456a63b3689214ff12adb5a83f87457e4c722345fb6d344",
+    Strategy.CNN_MP: "467d605e129ecbb55cf73f725cdb26790f2e20fd683335292d78814731bd46ea",
+    Strategy.CNN_RP: "456c2f9c56d3bdc656e647f95934f0be1df52585b5b0b6a003d17b63e439bc74",
+}
+
+
 @pytest.mark.parametrize("strategy", [Strategy.MP, Strategy.CNN_MP, Strategy.CNN_RP])
 def test_partition_validity_property(strategy, rng):
     """Acceptance: 1000 randomized polygons per strategy; every result is a
-    valid partition (area conservation 1e-10 relative, no overlaps)."""
+    valid partition (area conservation 1e-10 relative, no overlaps), and the
+    output bytes match the recorded hash."""
     labeler = lambda p: corner_label(p, 6)
+    digest = hashlib.sha256()
     for i in range(1000):
         p = random_star_polygon(rng)
         if i % 5 == 0:
@@ -303,3 +315,8 @@ def test_partition_validity_property(strategy, rng):
         assert validate_partition(p, res.children), (strategy, i)
         total = sum(area(c) for c in res.children)
         assert total == pytest.approx(area(p), rel=1e-10)
+        digest.update(res.strategy_used.value.encode())
+        for c in res.children:
+            digest.update(c.coords.tobytes())
+        digest.update(np.asarray(res.new_boundary_points, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == PARTITION_HASHES[strategy], digest.hexdigest()
