@@ -1,11 +1,16 @@
 """Polygonal mesh container, initial-grid generators and refinement driver.
 
-Hanging nodes are realized as aligned vertices stored in every incident
-element loop. Within one refinement pass the marked elements are processed
-sequentially: each element is refined against the current mesh, so it sees
-the boundary points inserted by elements processed earlier in the same pass
-(this is what makes midpoint refinement counts grow the way they do on
-conforming grids).
+Meshes are conforming: a hanging node is an aligned vertex of every element
+loop it touches, so no vertex lies strictly inside another element's edge.
+`PolyMesh.validate` rejects a T-junction, naming the element and the vertex;
+every loaded, generated and refined mesh passes through it, and refinement
+relies on it (a hanging node splits exactly one shared edge).
+
+Within one refinement pass the marked elements are processed sequentially:
+each element is refined against the current mesh, so it sees the boundary
+points inserted by elements processed earlier in the same pass (this is
+what makes midpoint refinement counts grow the way they do on conforming
+grids).
 """
 from __future__ import annotations
 
@@ -85,7 +90,8 @@ class PolyMesh:
 
     def validate(self) -> None:
         """Raise MeshError naming the element unless every loop is simple and
-        counter-clockwise and the loops fit together edge to edge."""
+        counter-clockwise and the loops fit together edge to edge, with no
+        vertex strictly inside another element's edge."""
         n = self.n_vertices
         directed: set[tuple[int, int]] = set()
         for eid, loop in enumerate(self.elements):
@@ -107,9 +113,33 @@ class PolyMesh:
                 if e in directed:
                     raise MeshError(f"element {eid}: duplicated directed edge {e}")
                 directed.add(e)
-        for (a, b), elems in self.edge_incidence().items():
+        inc = self.edge_incidence()
+        for (a, b), elems in inc.items():
             if len(elems) > 2:
                 raise MeshError(f"edge ({a},{b}) shared by {len(elems)} elements")
+        # A T-junction leaves the edge that holds the vertex, and the edges
+        # that meet at the vertex along it, with one incident element each:
+        # scan only single-incidence edges, against their endpoints.
+        single = [(key, elems[0]) for key, elems in inc.items() if len(elems) == 1]
+        if not single:
+            return
+        v = self.vertices
+        tol = 1e-9 * float(np.hypot(*np.ptp(v, axis=0)))
+        ends = np.unique([key for key, _ in single])
+        ends = ends[np.argsort(v[ends, 0], kind="stable")]
+        xs = v[ends, 0]
+        for (a, b), eid in single:
+            (xa, ya), (xb, yb) = v[a], v[b]
+            lo = np.searchsorted(xs, min(xa, xb) - tol, "left")
+            hi = np.searchsorted(xs, max(xa, xb) + tol, "right")
+            near = ends[lo:hi]
+            near = near[(v[near, 1] >= min(ya, yb) - tol) & (v[near, 1] <= max(ya, yb) + tol)]
+            inside, _ = _inside_edge(v[a], v[b], v[near], tol)
+            if inside.any():
+                raise MeshError(
+                    f"element {eid}: vertex {near[inside][0]} lies on edge ({a},{b})"
+                    " but not in the loop"
+                )
 
     def copy(self) -> "PolyMesh":
         return PolyMesh(self.vertices.copy(), [list(l) for l in self.elements], validate=False)
@@ -120,13 +150,17 @@ class PolyMesh:
 # ---------------------------------------------------------------------------
 
 class _VertexRegistry:
+    """Tolerant point lookup. The initial coordinates keep their own ids, even
+    when two of them lie within tol; a lookup returns the nearest registered
+    point, the lower id on a tie."""
+
     def __init__(self, coords: np.ndarray, tol: float):
         self.tol = tol
         self.cell = max(tol * 8.0, 1e-300)
         self.points: list[tuple[float, float]] = []
         self.grid: dict[tuple[int, int], list[int]] = {}
-        for x, y in coords:
-            self.add(float(x), float(y))
+        for x, y in coords.tolist():
+            self._append(x, y)
 
     def _key(self, x: float, y: float) -> tuple[int, int]:
         return (int(math.floor(x / self.cell)), int(math.floor(y / self.cell)))
@@ -139,14 +173,15 @@ class _VertexRegistry:
                 for vid in self.grid.get((ix, iy), ()):
                     px, py = self.points[vid]
                     d = math.hypot(px - x, py - y)
-                    if d <= best_d:
+                    if d < best_d or (d == best_d and (best is None or vid < best)):
                         best, best_d = vid, d
         return best
 
     def add(self, x: float, y: float) -> int:
         found = self.find(x, y)
-        if found is not None:
-            return found
+        return self._append(x, y) if found is None else found
+
+    def _append(self, x: float, y: float) -> int:
         vid = len(self.points)
         self.points.append((x, y))
         self.grid.setdefault(self._key(x, y), []).append(vid)
@@ -170,7 +205,6 @@ class _WorkingMesh:
         self.loops: list[list[int] | None] = [list(l) for l in mesh.elements]
         self.children_of: dict[int, list[int]] = {}
         self.edge_map: dict[tuple[int, int], set[int]] = {}
-        self.vertex_edges: dict[int, set[tuple[int, int]]] = {}
         for eid, loop in enumerate(mesh.elements):
             self._add_edges(eid, loop)
 
@@ -182,8 +216,6 @@ class _WorkingMesh:
         for k in range(len(loop)):
             key = self._edge_key(loop[k], loop[(k + 1) % len(loop)])
             self.edge_map.setdefault(key, set()).add(eid)
-            self.vertex_edges.setdefault(key[0], set()).add(key)
-            self.vertex_edges.setdefault(key[1], set()).add(key)
 
     def _remove_edges(self, eid: int, loop: list[int]) -> None:
         for k in range(len(loop)):
@@ -194,8 +226,6 @@ class _WorkingMesh:
             elems.discard(eid)
             if not elems:
                 del self.edge_map[key]
-                for v in key:
-                    self.vertex_edges.get(v, set()).discard(key)
 
     # -- element replacement -------------------------------------------------
     def polygon(self, eid: int) -> Polygon:
@@ -220,8 +250,11 @@ class _WorkingMesh:
 
     # -- hanging-node insertion ----------------------------------------------
     def insert_boundary_point(self, x: float, y: float, old_loop: list[int]) -> None:
+        """Split the edge of the refined element's old loop that carries the
+        point. The mesh is conforming, so that edge is the neighbour's edge
+        too; once the children have replaced it, it is still in `edge_map`
+        unless it lies on the domain boundary."""
         vid = self.reg.add(x, y)
-        host = None
         for k in range(len(old_loop)):
             u, w = old_loop[k], old_loop[(k + 1) % len(old_loop)]
             if u == vid or w == vid:
@@ -229,64 +262,14 @@ class _WorkingMesh:
             if point_on_segment(
                 self.reg.points[vid], self.reg.points[u], self.reg.points[w], self.tol
             ):
-                host = (u, w)
-                break
-        if host is None:
-            raise MeshError("boundary point not on the parent boundary")
-        self._insert_on_chain(host[0], host[1], vid)
-
-    def _insert_on_chain(self, u: int, w: int, vid: int) -> None:
-        """Split every current edge of the u-w collinear chain that strictly
-        contains vid. Both sides of the interface may subdivide the chain at
-        different granularities, so all overlapping edges are inspected."""
-        ux, uy = self.reg.points[u]
-        wx, wy = self.reg.points[w]
-        seg2 = (wx - ux) ** 2 + (wy - uy) ** 2
-
-        def param(i: int) -> float:
-            px, py = self.reg.points[i]
-            return ((px - ux) * (wx - ux) + (py - uy) * (wy - uy)) / seg2
-
-        def on_chain(i: int) -> bool:
-            return point_on_segment(self.reg.points[i], (ux, uy), (wx, wy), self.tol)
-
-        t_target = param(vid)
-        eps_t = self.tol / math.sqrt(seg2)
-        # gather the chain vertices reachable from u through collinear edges
-        chain = {u}
-        frontier = [u]
-        while frontier:
-            cur = frontier.pop()
-            for key in tuple(self.vertex_edges.get(cur, ())):
-                other = key[0] if key[1] == cur else key[1]
-                if other not in chain and on_chain(other):
-                    chain.add(other)
-                    frontier.append(other)
-        # vid may already be a chain vertex (the refining element's children
-        # realize it), but coarser edges on the other side of the interface
-        # can still strictly contain it and must be split.
-        hit = False
-        for key in [
-            k
-            for v in chain
-            for k in self.vertex_edges.get(v, ())
-            if k[0] in chain and k[1] in chain
-        ]:
-            if key not in self.edge_map:
-                continue
-            ta, tb = param(key[0]), param(key[1])
-            if ta > tb:
-                ta, tb = tb, ta
-            if ta + eps_t < t_target < tb - eps_t:
-                self._split_edge(key, vid)
-                hit = True
-        if not hit and vid not in chain:
-            raise MeshError("hanging node could not be placed on the edge chain")
+                key = self._edge_key(u, w)
+                if key in self.edge_map:
+                    self._split_edge(key, vid)
+                return
+        raise MeshError("boundary point not on the parent boundary")
 
     def _split_edge(self, key: tuple[int, int], vid: int) -> None:
-        elems = self.edge_map.pop(key, set())
-        for v in key:
-            self.vertex_edges.get(v, set()).discard(key)
+        elems = self.edge_map.pop(key)
         a, b = key
         for eid in elems:
             loop = self.loops[eid]
@@ -299,10 +282,7 @@ class _WorkingMesh:
             else:
                 raise MeshError("edge not found in incident element loop")
             for half in ((a, vid), (vid, b)):
-                hk = self._edge_key(*half)
-                self.edge_map.setdefault(hk, set()).add(eid)
-                self.vertex_edges.setdefault(hk[0], set()).add(hk)
-                self.vertex_edges.setdefault(hk[1], set()).add(hk)
+                self.edge_map.setdefault(self._edge_key(*half), set()).add(eid)
 
     # -- output ---------------------------------------------------------------
     def finish(self, n_original: int) -> tuple[PolyMesh, RefinePassReport]:
@@ -454,6 +434,19 @@ def _mesh_from_cells(cells: list[np.ndarray]) -> PolyMesh:
     return PolyMesh(coords, loops)
 
 
+def _inside_edge(pa: np.ndarray, pb: np.ndarray, pts: np.ndarray, tol: float):
+    """Mask of the points (m, 2) strictly inside segment (pa, pb), that is
+    within tol of it and projecting more than tol from either end; and the
+    projection parameters t (0 at pa, 1 at pb)."""
+    ab = pb - pa
+    ab2 = float(ab @ ab)
+    t = ((pts - pa) @ ab) / ab2
+    proj = pa + np.clip(t, 0.0, 1.0)[:, None] * ab
+    dist = np.hypot(*(pts - proj).T)
+    eps_t = tol / math.sqrt(ab2)
+    return (dist <= tol) & (t > eps_t) & (t < 1.0 - eps_t), t
+
+
 def _make_conforming(coords: np.ndarray, loops: list[list[int]], tol: float) -> list[list[int]]:
     """Insert every vertex that falls strictly inside another element's edge."""
     out = []
@@ -462,18 +455,9 @@ def _make_conforming(coords: np.ndarray, loops: list[list[int]], tol: float) -> 
         n = len(loop)
         for k in range(n):
             a, b = loop[k], loop[(k + 1) % n]
-            pa, pb = coords[a], coords[b]
             rebuilt.append(a)
-            ab = pb - pa
-            ab2 = float(ab @ ab)
-            t = ((coords - pa) @ ab) / ab2
-            proj = pa + np.clip(t, 0.0, 1.0)[:, None] * ab
-            dist = np.hypot(*(coords - proj).T)
-            eps_t = tol / math.sqrt(ab2)
-            hits = np.where((dist <= tol) & (t > eps_t) & (t < 1.0 - eps_t))[0]
-            hits = [int(h) for h in hits if h not in (a, b)]
-            hits.sort(key=lambda h: t[h])
-            rebuilt.extend(hits)
+            inside, t = _inside_edge(coords[a], coords[b], coords, tol)
+            rebuilt.extend(sorted((int(h) for h in np.where(inside)[0]), key=lambda h: t[h]))
         out.append(rebuilt)
     return out
 

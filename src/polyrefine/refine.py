@@ -30,7 +30,6 @@ from .geometry import (
     PolygonError,
     area,
     centroid,
-    contains,
     contains_many,
     corner_count,
     diameter,
@@ -293,9 +292,8 @@ def validate_partition(parent: Polygon, children: list[Polygon]) -> bool:
     all_verts = np.vstack([c.coords for c in children])
     if not contains_many(parent, all_verts, tol=max(tol, 1e-9 * diameter(parent))).all():
         return False
-    for c in children:
-        if not contains(parent, centroid(c)):
-            return False
+    if not contains_many(parent, np.array([centroid(c) for c in children]), tol=tol).all():
+        return False
     return not _any_child_edges_cross(children)
 
 
@@ -323,10 +321,13 @@ def refine_element(
     """Refine one element with the requested strategy, falling back to
     bisection whenever the strategy cannot produce a valid partition.
 
-    The classifier runs first (its errors propagate) and its label is
-    clamped to [3, p.n]. Then the centroid must be strictly inside, the
-    strategy builds the children, and the children must partition p.
+    `rho`, the CNN-RP inner-polygon scale, must lie strictly between 0 and
+    1 (ValueError). The classifier runs next (its errors propagate) and its
+    label is clamped to [3, p.n]. Then the centroid must be strictly inside,
+    the strategy builds the children, and the children must partition p.
     """
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     strategy = Strategy(strategy)
     label = None
     if strategy in (Strategy.CNN_MP, Strategy.CNN_RP):

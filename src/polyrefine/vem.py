@@ -212,9 +212,9 @@ def solve(system: LinearSystem) -> np.ndarray:
     u[system.dirichlet_index] = system.dirichlet_values
     if len(interior) == 0:
         return u
-    A = system.matrix
-    A_ii = A[interior][:, interior].tocsc()
-    rhs_i = system.rhs[interior] - A[interior][:, system.dirichlet_index] @ system.dirichlet_values
+    A_i = system.matrix[interior]
+    A_ii = A_i[:, interior].tocsc()
+    rhs_i = system.rhs[interior] - A_i[:, system.dirichlet_index] @ system.dirichlet_values
     if len(interior) <= _DIRECT_SOLVE_LIMIT:
         u[interior] = spla.spsolve(A_ii, rhs_i)
     else:

@@ -150,6 +150,17 @@ def test_cli_error_exits(tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["refine", "study"])
+def test_cli_rejects_rho_outside_the_unit_interval(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    run("gen-mesh", "--grid", "smoothed", "--out-dir", out, "--seed", 0)
+    capsys.readouterr()
+    args = [command, "--mesh", out / "mesh.txt", "--strategy", "mp", "--rho", 1.5]
+    assert run(*args, "--steps", 1, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err == "error: rho must lie strictly between 0 and 1, got 1.5\n"
+
+
 def test_mp_three_passes_element_count_band(tmp_path):
     """Midpoint refinement of the 32-triangle grid for three uniform passes
     lands within +-30% of 6371 elements (propagation order shifts the exact

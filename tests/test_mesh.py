@@ -106,6 +106,22 @@ def test_hanging_node_insertion():
     assert_conforming(m2)
 
 
+@pytest.mark.parametrize("marks", [[0, 1], [0], [1]])
+def test_unused_duplicate_vertex_does_not_renumber_the_mesh(tmp_path, marks):
+    """An unused vertex within tolerance of a used one keeps its own id in the
+    refinement pass, so the output is the mesh refined without it."""
+    dup = PolyMesh([(0, 0), (0, 0), (1, 0), (1, 1), (0, 1)], [[0, 2, 3], [0, 3, 4]])
+    grid = generate_triangle_grid(2)
+    moved = PolyMesh(
+        np.vstack([grid.vertices[:1] + 1e-12, grid.vertices]),
+        [[v + 1 for v in loop] for loop in grid.elements],
+    )
+    for mesh, plain in ((dup, two_triangle_mesh()), (moved, grid)):
+        save_mesh(refine_mesh(mesh, marks, Strategy.MP), tmp_path / "with.txt")
+        save_mesh(refine_mesh(plain, marks, Strategy.MP), tmp_path / "without.txt")
+        assert (tmp_path / "with.txt").read_bytes() == (tmp_path / "without.txt").read_bytes()
+
+
 def test_refine_mesh_area_conservation(rng):
     m = generate_voronoi_grid(7, seed=3)
     total = m.total_area()
@@ -169,6 +185,30 @@ def test_mesh_validation_rejects_clockwise_loops(tmp_path):
     save_mesh(cw, tmp_path / "cw.txt")
     with pytest.raises(MeshError, match="element 0: clockwise loop"):
         load_mesh(tmp_path / "cw.txt")
+
+
+def t_junction_mesh(validate=True):
+    """Two unit squares stacked on the left, one 1 x 2 rectangle on the right:
+    vertex 2 = (1, 1) lies inside the rectangle's edge from (1, 0) to (1, 2)."""
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1), (1, 2), (0, 2), (2, 0), (2, 2)]
+    return PolyMesh(verts, [[0, 1, 2, 3], [3, 2, 4, 5], [1, 6, 7, 4]], validate=validate)
+
+
+def test_mesh_validation_rejects_t_junctions(tmp_path):
+    message = "^element 2: vertex 2 lies on edge \\(1,4\\) but not in the loop$"
+    with pytest.raises(MeshError, match=message):
+        t_junction_mesh()
+    save_mesh(t_junction_mesh(validate=False), tmp_path / "t.txt")
+    with pytest.raises(MeshError, match=message):
+        load_mesh(tmp_path / "t.txt")
+    # once the rectangle carries vertex 2 the mesh is conforming
+    fixed = t_junction_mesh(validate=False)
+    PolyMesh(fixed.vertices, fixed.elements[:2] + [[1, 6, 7, 4, 2]])
+
+
+def test_refine_pass_output_is_checked_for_t_junctions():
+    with pytest.raises(MeshError, match="lies on edge .* but not in the loop"):
+        refine_mesh(t_junction_mesh(validate=False), [0], Strategy.MP)
 
 
 _TRIANGLE_FILE = ["POLYMESH 1", "3 1", "0 0", "1 0", "0 1", "3 0 1 2"]

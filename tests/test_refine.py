@@ -212,6 +212,14 @@ def test_classifier_errors_propagate():
         refine_element(SQUARE, Strategy.CNN_MP)
 
 
+@pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_rho_outside_the_unit_interval_is_rejected(rho):
+    # an out-of-range scale used to send every CNN-RP element to bisection
+    for strategy in Strategy:
+        with pytest.raises(ValueError, match="rho must lie strictly between 0 and 1"):
+            refine_element(SQUARE, strategy, lambda p: 5, rho=rho)
+
+
 def test_rp_square_three_levels_is_64():
     polys = [SQUARE]
     for _ in range(3):
