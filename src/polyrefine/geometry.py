@@ -209,10 +209,6 @@ def contains_many(p: Polygon, pts: np.ndarray, tol: float | None = None) -> np.n
     return inside | near
 
 
-def contains(p: Polygon, q) -> bool:
-    return bool(contains_many(p, np.asarray([[q[0], q[1]]], dtype=float))[0])
-
-
 def strictly_inside(p: Polygon, q, margin: float | None = None) -> bool:
     """Inside and farther than `margin` from the boundary."""
     if margin is None:

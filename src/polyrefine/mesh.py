@@ -11,6 +11,12 @@ each element is refined against the current mesh, so it sees the boundary
 points inserted by elements processed earlier in the same pass (this is
 what makes midpoint refinement counts grow the way they do on conforming
 grids).
+
+A refinement result names its children's vertices by index (see
+`refine`): even index 2i is vertex i of the element's loop, odd index
+2i + 1 is a new vertex that splits edge i in the neighbour still holding
+it, and an interior row is a new vertex. The pass maps them to vertex ids
+directly; it never compares coordinates.
 """
 from __future__ import annotations
 
@@ -27,7 +33,6 @@ from .geometry import (
     area,
     area_centroid,
     diameter,
-    point_on_segment,
 )
 from .refine import RefinementResult, Strategy, refine_element
 
@@ -141,50 +146,39 @@ class PolyMesh:
                     " but not in the loop"
                 )
 
-    def copy(self) -> "PolyMesh":
-        return PolyMesh(self.vertices.copy(), [list(l) for l in self.elements], validate=False)
-
 
 # ---------------------------------------------------------------------------
 # vertex registry with tolerant lookup
 # ---------------------------------------------------------------------------
 
 class _VertexRegistry:
-    """Tolerant point lookup. The initial coordinates keep their own ids, even
-    when two of them lie within tol; a lookup returns the nearest registered
-    point, the lower id on a tie."""
+    """Tolerant point lookup for merging the near-equal corners of clipped
+    cells: `add` returns the nearest registered point within tol (the lower
+    id on a tie), or registers a new one."""
 
-    def __init__(self, coords: np.ndarray, tol: float):
+    def __init__(self, tol: float):
         self.tol = tol
         self.cell = max(tol * 8.0, 1e-300)
         self.points: list[tuple[float, float]] = []
         self.grid: dict[tuple[int, int], list[int]] = {}
-        for x, y in coords.tolist():
-            self._append(x, y)
 
     def _key(self, x: float, y: float) -> tuple[int, int]:
         return (int(math.floor(x / self.cell)), int(math.floor(y / self.cell)))
 
-    def find(self, x: float, y: float) -> int | None:
-        kx, ky = self._key(x, y)
-        best, best_d = None, self.tol
-        for ix in (kx - 1, kx, kx + 1):
-            for iy in (ky - 1, ky, ky + 1):
-                for vid in self.grid.get((ix, iy), ()):
-                    px, py = self.points[vid]
-                    d = math.hypot(px - x, py - y)
-                    if d < best_d or (d == best_d and (best is None or vid < best)):
-                        best, best_d = vid, d
-        return best
-
     def add(self, x: float, y: float) -> int:
-        found = self.find(x, y)
-        return self._append(x, y) if found is None else found
-
-    def _append(self, x: float, y: float) -> int:
+        kx, ky = self._key(x, y)
+        near = [
+            (math.hypot(self.points[vid][0] - x, self.points[vid][1] - y), vid)
+            for ix in (kx - 1, kx, kx + 1)
+            for iy in (ky - 1, ky, ky + 1)
+            for vid in self.grid.get((ix, iy), ())
+        ]
+        d, vid = min(near, default=(math.inf, None))
+        if d <= self.tol:
+            return vid
         vid = len(self.points)
         self.points.append((x, y))
-        self.grid.setdefault(self._key(x, y), []).append(vid)
+        self.grid.setdefault((kx, ky), []).append(vid)
         return vid
 
 
@@ -199,9 +193,8 @@ class RefinePassReport:
 
 
 class _WorkingMesh:
-    def __init__(self, mesh: PolyMesh, tol: float):
-        self.reg = _VertexRegistry(mesh.vertices, tol)
-        self.tol = tol
+    def __init__(self, mesh: PolyMesh):
+        self.points: list[list[float]] = mesh.vertices.tolist()
         self.loops: list[list[int] | None] = [list(l) for l in mesh.elements]
         self.children_of: dict[int, list[int]] = {}
         self.edge_map: dict[tuple[int, int], set[int]] = {}
@@ -229,44 +222,33 @@ class _WorkingMesh:
 
     # -- element replacement -------------------------------------------------
     def polygon(self, eid: int) -> Polygon:
-        return Polygon.trusted([self.reg.points[v] for v in self.loops[eid]])
+        return Polygon.trusted([self.points[v] for v in self.loops[eid]])
 
-    def replace(self, eid: int, children: list[Polygon]) -> list[int]:
+    def replace(self, eid: int, res: RefinementResult) -> None:
+        """Swap element eid for the children of `res`, a refinement of
+        `polygon(eid)`. An even index 2i is vertex i of the old loop; any
+        other row becomes a new vertex, and an odd one, 2i + 1, also splits
+        edge i in the neighbour that holds it. The mesh is conforming, so that
+        edge is still in `edge_map` unless it lies on the domain boundary."""
         old = self.loops[eid]
+        n = len(old)
         self._remove_edges(eid, old)
         self.loops[eid] = None
+        vid = {k: old[k // 2] for k in range(0, 2 * n, 2)}
+        for k in sorted({k for loop in res.loops for k in loop}.difference(vid)):
+            vid[k] = len(self.points)
+            self.points.append(res.points[k].tolist())
+            if k < 2 * n:  # the midpoint of edge k // 2
+                key = self._edge_key(old[k // 2], old[(k // 2 + 1) % n])
+                if key in self.edge_map:
+                    self._split_edge(key, vid[k])
         ids = []
-        for child in children:
-            loop = [self.reg.add(float(x), float(y)) for x, y in child.coords]
-            dedup = [v for k, v in enumerate(loop) if v != loop[(k - 1) % len(loop)]]
-            if len(dedup) < 3:
-                raise MeshError(f"degenerate child while refining element {eid}")
+        for child in res.loops:
             cid = len(self.loops)
-            self.loops.append(dedup)
-            self._add_edges(cid, dedup)
+            self.loops.append([vid[k] for k in child])
+            self._add_edges(cid, self.loops[cid])
             ids.append(cid)
         self.children_of[eid] = ids
-        return ids
-
-    # -- hanging-node insertion ----------------------------------------------
-    def insert_boundary_point(self, x: float, y: float, old_loop: list[int]) -> None:
-        """Split the edge of the refined element's old loop that carries the
-        point. The mesh is conforming, so that edge is the neighbour's edge
-        too; once the children have replaced it, it is still in `edge_map`
-        unless it lies on the domain boundary."""
-        vid = self.reg.add(x, y)
-        for k in range(len(old_loop)):
-            u, w = old_loop[k], old_loop[(k + 1) % len(old_loop)]
-            if u == vid or w == vid:
-                return
-            if point_on_segment(
-                self.reg.points[vid], self.reg.points[u], self.reg.points[w], self.tol
-            ):
-                key = self._edge_key(u, w)
-                if key in self.edge_map:
-                    self._split_edge(key, vid)
-                return
-        raise MeshError("boundary point not on the parent boundary")
 
     def _split_edge(self, key: tuple[int, int], vid: int) -> None:
         elems = self.edge_map.pop(key)
@@ -302,7 +284,7 @@ class _WorkingMesh:
             for v in loop:
                 if v not in used:
                     used[v] = len(coords)
-                    coords.append(self.reg.points[v])
+                    coords.append(self.points[v])
                 remapped.append(used[v])
             new_elements.append(remapped)
             if is_new:
@@ -322,16 +304,11 @@ def refine_mesh_report(
     marks = sorted(set(int(m) for m in marks))
     if marks and (marks[0] < 0 or marks[-1] >= mesh.n_elements):
         raise MeshError("mark index out of range")
-    tol = 1e-9 * mesh.h
-    work = _WorkingMesh(mesh, tol)
+    work = _WorkingMesh(mesh)
     strategy_counts: dict[str, int] = {}
     for eid in marks:
-        poly = work.polygon(eid)
-        res: RefinementResult = refine_element(poly, strategy, classifier, rho)
-        old_loop = list(work.loops[eid])
-        work.replace(eid, res.children)
-        for x, y in res.new_boundary_points.tolist():
-            work.insert_boundary_point(x, y, old_loop)
+        res = refine_element(work.polygon(eid), strategy, classifier, rho)
+        work.replace(eid, res)
         name = res.strategy_used.value
         strategy_counts[name] = strategy_counts.get(name, 0) + 1
     new_mesh, report = work.finish(mesh.n_elements)
@@ -424,7 +401,7 @@ def _voronoi_cells(seeds: np.ndarray) -> list[np.ndarray]:
 
 
 def _mesh_from_cells(cells: list[np.ndarray]) -> PolyMesh:
-    reg = _VertexRegistry(np.empty((0, 2)), tol=1e-9)
+    reg = _VertexRegistry(tol=1e-9)
     loops = []
     for cell in cells:
         loop = [reg.add(float(x), float(y)) for x, y in cell]

@@ -3,14 +3,19 @@
 A strategy (`refine_mp`, the CNN-MP fan, `template_triangle`,
 `template_regular`) builds the children of one element or raises; it does
 not check them. `refine_element` is the one place that classifies, tests the
-centroid, validates the partition and falls back to bisection.
+centroid, checks the children, validates the partition and falls back to
+bisection.
 
-Points are rows of float64 (k, 2) arrays. The CNN strategies number an
-element's boundary candidates in boundary order, vertex i as 2i and the
-midpoint of edge i as 2i + 1 (`_boundary`), so a refinement point is one
-integer: an odd one is a hanging node for the neighbours, and the walk
-between two refinement points is both ends plus the even indices between
-them.
+Index contract. A result's `points` start with the element's boundary
+points in boundary order, vertex i in row 2i and the midpoint of edge i in
+row 2i + 1 (`_boundary`), followed by its interior points (centroid, inner
+polygon); each child is a CCW loop of row indices. So a refinement point is
+one integer, the walk between two refinement points is both ends plus the
+even indices between them, and the odd indices below 2n that the loops use
+are the hanging nodes for the neighbours: a mesh refinement pass maps an
+even index to the element's vertex, an odd one to a new vertex on the
+element's edge, and an interior row to a new vertex, without comparing
+coordinates.
 
 The classifier-driven strategies accept either a plain callable mapping a
 Polygon to an integer label (3 = triangle, 4 = quad, ...) or any object with
@@ -28,6 +33,7 @@ import numpy as np
 from .geometry import (
     Polygon,
     PolygonError,
+    _signed_area,
     area,
     centroid,
     contains_many,
@@ -59,9 +65,14 @@ class RefinementError(ValueError):
 
 @dataclass
 class RefinementResult:
-    children: list[Polygon]
-    new_boundary_points: np.ndarray  # (k, 2): hanging nodes for the neighbours
+    points: np.ndarray  # (2n + m, 2): `_boundary` rows, then interior points
+    loops: list[list[int]]  # one CCW loop of `points` rows per child
     strategy_used: Strategy
+
+    @property
+    def children(self) -> list[Polygon]:
+        """The child polygons, as a view of `points` and `loops`."""
+        return [Polygon.trusted(self.points[loop]) for loop in self.loops]
 
 
 def _as_classifier(obj):
@@ -85,23 +96,19 @@ def refine_mp(p: Polygon) -> RefinementResult:
     Produces one quad per stored vertex; `refine_element` has checked that
     the centroid is strictly inside.
     """
-    c = centroid(p)
-    mids = edge_midpoints(p)
-    v = p.coords
-    children = [Polygon((v[i], mids[i], c, mids[i - 1])) for i in range(p.n)]
-    return RefinementResult(children, mids, Strategy.MP)
+    n = p.n
+    points = np.vstack([_boundary(p), centroid(p)])
+    loops = [[2 * i, 2 * i + 1, 2 * n, (2 * i - 1) % (2 * n)] for i in range(n)]
+    return RefinementResult(points, loops, Strategy.MP)
 
 
 # ---------------------------------------------------------------------------
 # refinement-point identification (shared by CNN-MP and CNN-RP)
 # ---------------------------------------------------------------------------
 
-def select_representative_vertices(p: Polygon, label: int) -> np.ndarray:
-    """The label-sized vertex subset maximizing the sum of pairwise distances."""
-    return p.coords[_representative_indices(p, label)]
-
-
-def _representative_indices(p: Polygon, label: int) -> list[int]:
+def select_representative_vertices(p: Polygon, label: int) -> list[int]:
+    """Sorted indices of the label-sized vertex subset maximizing the sum of
+    pairwise distances."""
     n = p.n
     if label >= n:
         return list(range(n))
@@ -134,11 +141,12 @@ def _boundary(p: Polygon) -> np.ndarray:
     return out
 
 
-def _refinement_points(p: Polygon, label: int) -> list[int]:
-    """Sorted, unique `_boundary` rows of the refinement points: for each edge
-    midpoint of the representative polygon, the nearest candidate (then the
-    nearest to the centroid; then vertices before midpoints, by index)."""
-    rep_pts = p.coords[_representative_indices(p, label)]
+def refinement_points(p: Polygon, label: int) -> list[int]:
+    """Sorted, unique `_boundary` rows of the boundary points acting as edge
+    midpoints of the approximating polygon: for each edge midpoint of the
+    representative polygon, the nearest candidate (then the nearest to the
+    centroid; then vertices before midpoints, by index)."""
+    rep_pts = p.coords[select_representative_vertices(p, label)]
     hat_mids = 0.5 * (rep_pts + np.roll(rep_pts, -1, axis=0))
     c = centroid(p)
     cands = np.vstack([p.coords, edge_midpoints(p)])
@@ -151,23 +159,11 @@ def _refinement_points(p: Polygon, label: int) -> list[int]:
     return sorted(chosen)
 
 
-def refinement_points(p: Polygon, label: int) -> np.ndarray:
-    """Boundary points acting as edge midpoints of the approximating polygon."""
-    return _boundary(p)[_refinement_points(p, label)]
-
-
-def _walk(bnd: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Rows of `bnd` from index a to index b CCW along the boundary: both
-    ends and the vertices (even indices) strictly between."""
-    m = len(bnd)
+def _walk(m: int, a: int, b: int) -> list[int]:
+    """`_boundary` rows (m of them) from index a to index b CCW along the
+    boundary: both ends and the vertices (even indices) strictly between."""
     steps = (b - a - 1) % m + 1
-    return bnd[[a] + [i % m for i in range(a + 1, a + steps) if i % 2 == 0] + [b]]
-
-
-def _result(bnd: np.ndarray, loops, rps: list[int], tag: Strategy) -> RefinementResult:
-    """Children from the loops; the odd refinement points (edge midpoints)
-    are the hanging nodes for the neighbours."""
-    return RefinementResult([Polygon(loop) for loop in loops], bnd[[i for i in rps if i % 2]], tag)
+    return [a] + [i % m for i in range(a + 1, a + steps) if i % 2 == 0] + [b]
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +175,9 @@ def _fan(p: Polygon, rps: list[int], tag: Strategy) -> RefinementResult:
     centroid: CNN-MP, and CNN-RP's quad template."""
     if len(rps) < 3:
         raise RefinementError("fan needs at least 3 refinement points")
-    bnd, c, k = _boundary(p), centroid(p), len(rps)
-    loops = [np.vstack([_walk(bnd, rps[j], rps[(j + 1) % k]), c]) for j in range(k)]
-    return _result(bnd, loops, rps, tag)
+    m, k = 2 * p.n, len(rps)
+    loops = [_walk(m, rps[j], rps[(j + 1) % k]) + [m] for j in range(k)]
+    return RefinementResult(np.vstack([_boundary(p), centroid(p)]), loops, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -189,33 +185,30 @@ def _fan(p: Polygon, rps: list[int], tag: Strategy) -> RefinementResult:
 # ---------------------------------------------------------------------------
 
 def template_triangle(p: Polygon, rps: list[int]) -> RefinementResult:
-    """Connect three refinement points (from `_refinement_points`) into four
+    """Connect three refinement points (from `refinement_points`) into four
     triangle-like children."""
     if len(rps) != 3:
         raise RefinementError("triangle template needs exactly 3 points")
-    bnd = _boundary(p)
     loops = []
     for j in range(3):
-        walk = _walk(bnd, rps[j], rps[(j + 1) % 3])
+        walk = _walk(2 * p.n, rps[j], rps[(j + 1) % 3])
         if len(walk) < 3:
             raise RefinementError("empty boundary walk between refinement points")
         loops.append(walk)
-    loops.append(bnd[rps])
-    return _result(bnd, loops, rps, Strategy.CNN_RP)
+    loops.append(list(rps))
+    return RefinementResult(_boundary(p), loops, Strategy.CNN_RP)
 
 
 def template_regular(p: Polygon, rps: list[int], rho: float = 0.5) -> RefinementResult:
     """Inner scaled polygon plus one boundary pentagon per refinement point
-    (from `_refinement_points`)."""
+    (from `refinement_points`)."""
     k = len(rps)
     if k < 3:
         raise RefinementError("regular template needs at least 3 points")
-    bnd, c = _boundary(p), centroid(p)
-    inner = c + rho * (bnd[rps] - c)
-    loops = [inner] + [
-        np.vstack([_walk(bnd, rps[j - 1], rps[j]), inner[j], inner[j - 1]]) for j in range(k)
-    ]
-    return _result(bnd, loops, rps, Strategy.CNN_RP)
+    bnd, c, m = _boundary(p), centroid(p), 2 * p.n
+    inner = list(range(m, m + k))  # rows of the inner polygon's vertices
+    loops = [inner] + [_walk(m, rps[j - 1], rps[j]) + [inner[j], inner[j - 1]] for j in range(k)]
+    return RefinementResult(np.vstack([bnd, c + rho * (bnd[rps] - c)]), loops, Strategy.CNN_RP)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +216,14 @@ def template_regular(p: Polygon, rps: list[int], rho: float = 0.5) -> Refinement
 # ---------------------------------------------------------------------------
 
 def fallback_bisect(p: Polygon) -> RefinementResult:
-    """Split into two comparable children along an interior diagonal."""
-    if p.n == 3:
+    """Split into two comparable children along an interior diagonal; a
+    triangle at the midpoint of its longest edge."""
+    n, bnd = p.n, _boundary(p)
+    if n == 3:
         i = int(np.argmax(edge_lengths(p)))
-        a, b, c = p.coords[[i, (i + 1) % 3, (i + 2) % 3]]
-        m = a + 0.5 * (b - a)
-        children = [Polygon((a, m, c)), Polygon((m, b, c))]
-        return RefinementResult(children, m[None], Strategy.FALLBACK_BISECT)
+        a, b, c = 2 * i, (2 * i + 2) % 6, (2 * i + 4) % 6
+        return RefinementResult(bnd, [[a, a + 1, c], [a + 1, b, c]], Strategy.FALLBACK_BISECT)
 
-    n = p.n
     tol = geom_tol(p)
     candidates = []
     for i in range(n):
@@ -251,10 +243,10 @@ def fallback_bisect(p: Polygon) -> RefinementResult:
     # most balanced split first; prefer pairs passing the partition checks
     # (a strongly non-convex chain child can put its vertex average outside)
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
-    for _, _, _, pair in candidates:
-        if validate_partition(p, pair):
-            return RefinementResult(list(pair), np.empty((0, 2)), Strategy.FALLBACK_BISECT)
-    return RefinementResult(list(candidates[0][3]), np.empty((0, 2)), Strategy.FALLBACK_BISECT)
+    _, i, j, _ = next((c for c in candidates if validate_partition(p, c[3])), candidates[0])
+    chain = list(range(2 * i, 2 * j + 1, 2))  # vertices i..j, as even rows
+    rest = [k % (2 * n) for k in range(2 * j, 2 * (n + i) + 1, 2)]  # vertices j..n-1, 0..i
+    return RefinementResult(bnd, [chain, rest], Strategy.FALLBACK_BISECT)
 
 
 def _diagonal_is_interior(p: Polygon, i: int, j: int, tol: float) -> bool:
@@ -324,7 +316,9 @@ def refine_element(
     `rho`, the CNN-RP inner-polygon scale, must lie strictly between 0 and
     1 (ValueError). The classifier runs next (its errors propagate) and its
     label is clamped to [3, p.n]. Then the centroid must be strictly inside,
-    the strategy builds the children, and the children must partition p.
+    the strategy builds the children, each child loop must be a simple CCW
+    polygon (the one check of template output), and the children must
+    partition p.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
@@ -338,7 +332,10 @@ def refine_element(
         if not strictly_inside(p, centroid(p)):
             raise RefinementError("centroid not strictly inside")
         res = _build_children(p, strategy, label, rho)
-        if not validate_partition(p, res.children):
+        coords = [res.points[loop] for loop in res.loops]
+        if any(_signed_area(c) < 0 for c in coords):
+            raise RefinementError("clockwise child")
+        if not validate_partition(p, [Polygon(c) for c in coords]):
             raise RefinementError("children do not partition the element")
         return res
     except (RefinementError, PolygonError):
@@ -352,7 +349,7 @@ def _build_children(
     >= 5 -> inner regular polygon with boundary pentagons."""
     if strategy == Strategy.MP:
         return refine_mp(p)
-    rps = _refinement_points(p, label)
+    rps = refinement_points(p, label)
     if strategy == Strategy.CNN_RP and label == 3:
         return template_triangle(p, rps)
     if strategy == Strategy.CNN_RP and label >= 5:

@@ -13,7 +13,6 @@ from polyrefine.geometry import (
     area,
     area_centroid,
     centroid,
-    contains,
     contains_many,
     corner_count,
     diameter,
@@ -110,11 +109,10 @@ def test_edge_midpoints():
 
 
 def test_contains():
-    assert contains(SQUARE, (0.5, 0.5))
-    assert not contains(SQUARE, (1.5, 0.5))
-    assert contains(SQUARE, (1.0, 0.5))  # boundary counts as inside
-    assert not contains(L_SHAPE, (1.5, 1.5))
-    assert contains(L_SHAPE, (0.5, 0.5))
+    # the last square point lies on the boundary, which counts as inside
+    got = contains_many(SQUARE, [(0.5, 0.5), (1.5, 0.5), (1.0, 0.5)])
+    assert got.tolist() == [True, False, True]
+    assert contains_many(L_SHAPE, [(1.5, 1.5), (0.5, 0.5)]).tolist() == [False, True]
 
 
 def test_is_convex():
@@ -210,7 +208,7 @@ def test_convex_polygon_contains_centroid(rng):
     for _ in range(25):
         p = random_star_polygon(rng, reflex=False)
         if is_convex(p):
-            assert contains(p, centroid(p))
+            assert contains_many(p, centroid(p)).all()
 
 
 def test_aligned_vertex_preserves_measures(rng):

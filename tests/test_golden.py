@@ -1,9 +1,11 @@
 """Golden hashes of refined meshes: refactors must keep the output bytes.
 
-Two uniform passes on each initial grid with each strategy, written by
-`save_mesh` and hashed. The CNN strategies use the geometric stand-in
+Two uniform passes on each initial grid with each strategy, and three
+adaptive passes (the 30% largest diameters) on three grids, written by
+`save_mesh` and hashed. The adaptive passes leave hanging nodes in
+unrefined neighbours from one pass to the next. The CNN strategies use the geometric stand-in
 classifier `corner_label`, so the hashes do not depend on a trained model.
-The strategy counts of the two passes are checked first, so a mismatch
+The strategy counts of the passes are checked first, so a mismatch
 names the branch that moved.
 """
 import hashlib
@@ -11,7 +13,8 @@ from collections import Counter
 
 import pytest
 
-from polyrefine.mesh import GRID_GENERATORS, refine_mesh_report, save_mesh
+from polyrefine.geometry import diameter
+from polyrefine.mesh import GRID_GENERATORS, mark_fixed_fraction, refine_mesh_report, save_mesh
 from polyrefine.refine import corner_label
 
 GOLDEN = {
@@ -45,6 +48,37 @@ COUNTS = {
 }
 
 
+ADAPTIVE_GOLDEN = {
+    ("triangles", "mp"): "aab271a9b9805f0c01b6d32dcc7d4ddf3c21883c14ecc86fbbe50572293dfbe9",
+    ("triangles", "cnn-rp"): "a1d8154d3d743eff2366acb36e188f548d04eaf5581e9f5299ce6cfd4168009e",
+    ("triangles", "cnn-mp"): "8ef9e8e4ba5c5c53476ea250c87fa5187bbc775beaa83b1b8a60bd17e301a6f4",
+    ("voronoi", "mp"): "ab2b0c91f4940f76ae4ac002d44668bf78c4f51b48fcff0f2aaec34833adbbc8",
+    ("voronoi", "cnn-rp"): "8f6321baf13fbcfeff52ee80f5c3bb91266997e7d88dbead8fe45a67ae3e526f",
+    ("voronoi", "cnn-mp"): "5a90afb16c014351588c07d00b1b39ef810689112987d91d3fb89e4726851619",
+    ("nonconvex", "mp"): "585cd0b5ba9c64c3523c837dc4209f59550214b963ec6750208eccd5ab385f12",
+    ("nonconvex", "cnn-rp"): "87fbdc8c1778e318c211982c3741637a48bbc1110df3c78047a977269f221fe3",
+    ("nonconvex", "cnn-mp"): "44db61e585fd09e306ac3060de65f06db08c8b2bd77560e76eb8c982f31d78e2",
+}
+
+ADAPTIVE_COUNTS = {
+    ("triangles", "mp"): {"mp": 67},
+    ("triangles", "cnn-rp"): {"cnn-rp": 65},
+    ("triangles", "cnn-mp"): {"cnn-mp": 52},
+    ("voronoi", "mp"): {"mp": 33},
+    ("voronoi", "cnn-rp"): {"cnn-rp": 30},
+    ("voronoi", "cnn-mp"): {"cnn-mp": 25},
+    ("nonconvex", "mp"): {"mp": 51, "fallback-bisect": 2},
+    ("nonconvex", "cnn-rp"): {"cnn-rp": 31, "fallback-bisect": 8},
+    ("nonconvex", "cnn-mp"): {"cnn-mp": 38, "fallback-bisect": 2},
+}
+
+
+def _sha256_of_saved(m, tmp_path) -> str:
+    path = tmp_path / "mesh_refined.txt"
+    save_mesh(m, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("grid,strategy", sorted(GOLDEN))
 def test_two_uniform_passes_match_golden_hash(tmp_path, grid, strategy):
     m = GRID_GENERATORS[grid]()
@@ -53,6 +87,16 @@ def test_two_uniform_passes_match_golden_hash(tmp_path, grid, strategy):
         m, report = refine_mesh_report(m, range(m.n_elements), strategy, corner_label)
         counts.update(report.strategy_counts)
     assert dict(counts) == COUNTS[(grid, strategy)]
-    path = tmp_path / "mesh_refined.txt"
-    save_mesh(m, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(grid, strategy)]
+    assert _sha256_of_saved(m, tmp_path) == GOLDEN[(grid, strategy)]
+
+
+@pytest.mark.parametrize("grid,strategy", sorted(ADAPTIVE_GOLDEN))
+def test_three_adaptive_passes_match_golden_hash(tmp_path, grid, strategy):
+    m = GRID_GENERATORS[grid]()
+    counts = Counter()
+    for _ in range(3):
+        marks = mark_fixed_fraction([diameter(p) for p in m.polygons()], 0.3)
+        m, report = refine_mesh_report(m, marks, strategy, corner_label)
+        counts.update(report.strategy_counts)
+    assert dict(counts) == ADAPTIVE_COUNTS[(grid, strategy)]
+    assert _sha256_of_saved(m, tmp_path) == ADAPTIVE_GOLDEN[(grid, strategy)]

@@ -108,7 +108,7 @@ def test_hanging_node_insertion():
 
 @pytest.mark.parametrize("marks", [[0, 1], [0], [1]])
 def test_unused_duplicate_vertex_does_not_renumber_the_mesh(tmp_path, marks):
-    """An unused vertex within tolerance of a used one keeps its own id in the
+    """An unused vertex on or next to a used one keeps its own id in the
     refinement pass, so the output is the mesh refined without it."""
     dup = PolyMesh([(0, 0), (0, 0), (1, 0), (1, 1), (0, 1)], [[0, 2, 3], [0, 3, 4]])
     grid = generate_triangle_grid(2)
@@ -120,6 +120,20 @@ def test_unused_duplicate_vertex_does_not_renumber_the_mesh(tmp_path, marks):
         save_mesh(refine_mesh(mesh, marks, Strategy.MP), tmp_path / "with.txt")
         save_mesh(refine_mesh(plain, marks, Strategy.MP), tmp_path / "without.txt")
         assert (tmp_path / "with.txt").read_bytes() == (tmp_path / "without.txt").read_bytes()
+
+
+@pytest.mark.parametrize("e", [1e-9, 1e-10, 1e-12])
+def test_refinement_does_not_depend_on_element_scale(e):
+    """A tiny square in the corner of a unit L-shape refines like any other
+    element: vertex identity comes from the templates, not from a tolerance
+    tied to the largest element."""
+    verts = [(0, 0), (e, 0), (e, e), (0, e), (1, 0), (1, 1), (0, 1)]
+    m = PolyMesh(verts, [[1, 4, 5, 6, 3, 2], [0, 1, 2, 3]])
+    assert refine_mesh(m, [1], Strategy.MP).n_elements == 5
+    # the L-shape refined first leaves two hanging nodes on the square
+    both = refine_mesh(m, [0, 1], Strategy.MP)
+    assert both.n_elements == 12
+    assert both.total_area() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_refine_mesh_area_conservation(rng):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from polyrefine import refine
-from polyrefine.geometry import Polygon, area, edge_midpoints, regular_polygon
+from polyrefine.geometry import Polygon, _signed_area, area, edge_midpoints, regular_polygon
 from polyrefine.refine import (
     Strategy,
-    _refinement_points,
+    _boundary,
     corner_label,
     fallback_bisect,
     refine_element,
@@ -32,12 +32,18 @@ def child_areas(result):
     return sorted(area(c) for c in result.children)
 
 
+def hanging_nodes(result, p):
+    """Rows of the hanging nodes: the odd indices below 2n the loops use."""
+    used = {k for loop in result.loops for k in loop}
+    return result.points[sorted(k for k in used if k < 2 * p.n and k % 2)]
+
+
 def test_refine_mp_square():
     res = refine_mp(SQUARE)
     assert len(res.children) == 4
     assert child_areas(res) == pytest.approx([0.25] * 4)
     assert res.strategy_used == Strategy.MP
-    assert np.array_equal(res.new_boundary_points, edge_midpoints(SQUARE))
+    assert np.array_equal(hanging_nodes(res, SQUARE), edge_midpoints(SQUARE))
 
 
 def test_refine_mp_triangle():
@@ -53,7 +59,7 @@ def test_refine_mp_pentagon():
 
 def test_select_representative_vertices_enumeration(rng):
     # square with an aligned vertex: corners maximize the pairwise-distance sum
-    got = select_representative_vertices(SPLIT_SQUARE, 4)
+    got = SPLIT_SQUARE.coords[select_representative_vertices(SPLIT_SQUARE, 4)]
     assert [(round(x, 9), round(y, 9)) for x, y in got] == [
         (0, 0), (1, 0), (1, 1), (0, 1),
     ]
@@ -62,7 +68,7 @@ def test_select_representative_vertices_enumeration(rng):
         [(0, 0), (0.5, 0), (1, 0), (0.75, math.sqrt(3) / 4),
          (0.5, math.sqrt(3) / 2), (0.25, math.sqrt(3) / 4)]
     )
-    got = select_representative_vertices(eq, 3)
+    got = eq.coords[select_representative_vertices(eq, 3)]
     assert [(round(x, 6), round(y, 6)) for x, y in got] == [
         (0, 0), (1, 0), (0.5, round(math.sqrt(3) / 2, 6)),
     ]
@@ -79,8 +85,7 @@ def test_select_representative_vertices_enumeration(rng):
             )
             if s > best_sum + 1e-12:
                 best, best_sum = combo, s
-        got = select_representative_vertices(p, L)
-        assert [tuple(coords[i]) for i in best] == [tuple(q) for q in got]
+        assert select_representative_vertices(p, L) == list(best)
 
 
 def test_select_representative_all_when_label_large():
@@ -89,7 +94,7 @@ def test_select_representative_all_when_label_large():
 
 
 def test_refinement_points_split_square():
-    pts = refinement_points(SPLIT_SQUARE, 4)
+    pts = _boundary(SPLIT_SQUARE)[refinement_points(SPLIT_SQUARE, 4)]
     expected = {(0.5, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 0.5)}
     assert {(round(x, 9), round(y, 9)) for x, y in pts} == expected
 
@@ -97,14 +102,14 @@ def test_refinement_points_split_square():
 def test_refinement_points_regular():
     # a polygon already regular with L vertices selects its own midpoints
     pent = regular_polygon(5)
-    pts = refinement_points(pent, 5)
+    pts = _boundary(pent)[refinement_points(pent, 5)]
     mids = edge_midpoints(pent)
     assert sorted(map(tuple, pts)) == sorted(map(tuple, mids))
 
 
 def test_refinement_points_distorted_quad():
     quad = Polygon([(0, 0), (1.1, -0.05), (1.05, 0.9), (0.2, 1.0), (0.1, 0.5)])
-    pts = refinement_points(quad, 4)
+    pts = _boundary(quad)[refinement_points(quad, 4)]
     assert len(pts) == 4
     from polyrefine.geometry import distance_to_boundary
 
@@ -135,11 +140,11 @@ def test_cnn_mp_pentagon_classified_as_quad():
 
 
 def test_template_triangle():
-    res = template_triangle(TRIANGLE, _refinement_points(TRIANGLE, 3))
+    res = template_triangle(TRIANGLE, refinement_points(TRIANGLE, 3))
     assert len(res.children) == 4
     assert child_areas(res) == pytest.approx([0.125] * 4)
     eq = regular_polygon(3)
-    res = template_triangle(eq, _refinement_points(eq, 3))
+    res = template_triangle(eq, refinement_points(eq, 3))
     assert child_areas(res) == pytest.approx([area(eq) / 4] * 4)
     # the medial child is similar to the parent (half-scale edge lengths)
     from polyrefine.geometry import edge_lengths
@@ -153,7 +158,7 @@ def test_template_triangle():
 def test_template_regular_counts():
     for n in (5, 6, 8):
         p = regular_polygon(n)
-        res = template_regular(p, _refinement_points(p, n))
+        res = template_regular(p, refinement_points(p, n))
         assert len(res.children) == n + 1
         assert sum(child_areas(res)) == pytest.approx(area(p))
 
@@ -236,7 +241,7 @@ def test_rp_square_three_levels_is_64():
 def test_fallback_bisect_square():
     res = fallback_bisect(SQUARE)
     assert child_areas(res) == pytest.approx([0.5, 0.5])
-    assert res.new_boundary_points.shape == (0, 2)
+    assert hanging_nodes(res, SQUARE).shape == (0, 2)
 
 
 def test_fallback_bisect_l_shape_oracle():
@@ -254,7 +259,7 @@ def test_fallback_bisect_triangle():
     res = fallback_bisect(TRIANGLE)
     assert len(res.children) == 2
     assert child_areas(res) == pytest.approx([0.25, 0.25])
-    assert res.new_boundary_points.tolist() == [[0.5, 0.5]]  # hypotenuse midpoint
+    assert hanging_nodes(res, TRIANGLE).tolist() == [[0.5, 0.5]]  # hypotenuse midpoint
 
 
 def test_validate_partition_rejects_bad_partitions():
@@ -296,8 +301,8 @@ def test_strategy_equivariance(strategy, rng):
             assert b.coords == pytest.approx(a.coords * scale + shift, rel=1e-9, abs=1e-9)
 
 
-# SHA-256 over the strategy used, every child's coordinates and the new
-# boundary points of the 1000 refinements in test_partition_validity_property
+# SHA-256 over the strategy used, every child's coordinates and the hanging
+# nodes of the 1000 refinements in test_partition_validity_property
 PARTITION_HASHES = {
     Strategy.MP: "4816b0d1b044ba9e1456a63b3689214ff12adb5a83f87457e4c722345fb6d344",
     Strategy.CNN_MP: "467d605e129ecbb55cf73f725cdb26790f2e20fd683335292d78814731bd46ea",
@@ -308,8 +313,9 @@ PARTITION_HASHES = {
 @pytest.mark.parametrize("strategy", [Strategy.MP, Strategy.CNN_MP, Strategy.CNN_RP])
 def test_partition_validity_property(strategy, rng):
     """Acceptance: 1000 randomized polygons per strategy; every result is a
-    valid partition (area conservation 1e-10 relative, no overlaps), and the
-    output bytes match the recorded hash."""
+    valid partition (area conservation 1e-10 relative, no overlaps) of CCW
+    index loops over the element's boundary rows, and the output bytes match
+    the recorded hash."""
     labeler = lambda p: corner_label(p, 6)
     digest = hashlib.sha256()
     for i in range(1000):
@@ -320,11 +326,15 @@ def test_partition_validity_property(strategy, rng):
         else:
             cls = labeler
         res = refine_element(p, strategy, cls)
+        # index contract: vertex i in row 2i, the midpoint of edge i in row 2i + 1
+        assert np.array_equal(res.points[0 : 2 * p.n : 2], p.coords)
+        assert np.array_equal(res.points[1 : 2 * p.n : 2], edge_midpoints(p))
+        assert all(_signed_area(res.points[loop]) > 0 for loop in res.loops), (strategy, i)
         assert validate_partition(p, res.children), (strategy, i)
         total = sum(area(c) for c in res.children)
         assert total == pytest.approx(area(p), rel=1e-10)
         digest.update(res.strategy_used.value.encode())
         for c in res.children:
             digest.update(c.coords.tobytes())
-        digest.update(np.asarray(res.new_boundary_points, dtype=np.float64).tobytes())
+        digest.update(hanging_nodes(res, p).tobytes())
     assert digest.hexdigest() == PARTITION_HASHES[strategy], digest.hexdigest()
