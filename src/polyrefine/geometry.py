@@ -24,7 +24,8 @@ class PolygonError(ValueError):
 
 def _signed_area(coords: np.ndarray) -> float:
     x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = np.concatenate((coords[1:], coords[:1]))
+    return 0.5 * float(np.sum(x * nxt[:, 1] - nxt[:, 0] * y))
 
 
 def segment_orientations(p1, p2, p3, p4):
@@ -107,7 +108,7 @@ class Polygon:
             raise PolygonError("degenerate polygon (zero area)")
         if signed < 0:
             arr = arr[::-1].copy()
-        gaps = np.hypot(*(np.roll(arr, -1, axis=0) - arr).T)
+        gaps = np.hypot(*(np.concatenate((arr[1:], arr[:1])) - arr).T)
         if np.any(gaps <= 1e-13 * diag):
             raise PolygonError("repeated consecutive vertices")
         if not _is_simple(arr):
@@ -141,7 +142,7 @@ def centroid(p: Polygon) -> np.ndarray:
 def area_centroid(p: Polygon) -> np.ndarray:
     """Center of mass of the enclosed region (used by Lloyd smoothing)."""
     x, y = p.coords[:, 0], p.coords[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
     cross = x * yn - xn * y
     a = 0.5 * float(np.sum(cross))
     cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
@@ -154,7 +155,7 @@ def area(p: Polygon) -> float:
 
 
 def perimeter(p: Polygon) -> float:
-    return float(np.sum(np.hypot(*(np.roll(p.coords, -1, axis=0) - p.coords).T)))
+    return float(np.sum(edge_lengths(p)))
 
 
 def diameter(p: Polygon) -> float:
@@ -164,12 +165,12 @@ def diameter(p: Polygon) -> float:
 
 
 def edge_lengths(p: Polygon) -> np.ndarray:
-    return np.hypot(*(np.roll(p.coords, -1, axis=0) - p.coords).T)
+    return np.hypot(*(np.concatenate((p.coords[1:], p.coords[:1])) - p.coords).T)
 
 
 def edge_midpoints(p: Polygon) -> np.ndarray:
     """Midpoint of edge i (from vertex i to vertex i + 1) in row i."""
-    return 0.5 * (p.coords + np.roll(p.coords, -1, axis=0))
+    return 0.5 * (p.coords + np.concatenate((p.coords[1:], p.coords[:1])))
 
 
 def geom_tol(p: Polygon) -> float:
@@ -180,7 +181,7 @@ def distance_to_boundary(p: Polygon, pts: np.ndarray) -> np.ndarray:
     """Min distance from each point (m, 2) to the polygon boundary."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     a = p.coords
-    b = np.roll(a, -1, axis=0)
+    b = np.concatenate((a[1:], a[:1]))
     ab = b - a  # (n, 2)
     ab2 = (ab * ab).sum(axis=1)  # (n,)
     ap = pts[:, None, :] - a[None, :, :]  # (m, n, 2)
@@ -196,7 +197,7 @@ def contains_many(p: Polygon, pts: np.ndarray, tol: float | None = None) -> np.n
     if tol is None:
         tol = geom_tol(p)
     a = p.coords
-    b = np.roll(a, -1, axis=0)
+    b = np.concatenate((a[1:], a[:1]))
     x, y = pts[:, 0:1], pts[:, 1:2]  # (m, 1)
     y1, y2 = a[None, :, 1], b[None, :, 1]
     x1, x2 = a[None, :, 0], b[None, :, 0]
@@ -221,8 +222,8 @@ def strictly_inside(p: Polygon, q, margin: float | None = None) -> bool:
 
 def interior_angles(p: Polygon) -> np.ndarray:
     """Interior angle at each vertex, in (0, 2*pi); aligned vertices give pi."""
-    prev = np.roll(p.coords, 1, axis=0)
-    nxt = np.roll(p.coords, -1, axis=0)
+    prev = np.concatenate((p.coords[-1:], p.coords[:-1]))
+    nxt = np.concatenate((p.coords[1:], p.coords[:1]))
     u = p.coords - prev  # incoming edge direction
     v = nxt - p.coords  # outgoing edge direction
     turn = np.arctan2(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0], (u * v).sum(axis=1))
@@ -240,8 +241,8 @@ def corner_count(p: Polygon, angle_tol: float = 1e-6) -> int:
 
 def is_convex(p: Polygon) -> bool:
     """All turns are left turns up to tolerance; aligned vertices are fine."""
-    prev = np.roll(p.coords, 1, axis=0)
-    nxt = np.roll(p.coords, -1, axis=0)
+    prev = np.concatenate((p.coords[-1:], p.coords[:-1]))
+    nxt = np.concatenate((p.coords[1:], p.coords[:1]))
     u = p.coords - prev
     v = nxt - p.coords
     cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]

@@ -147,15 +147,14 @@ def refinement_points(p: Polygon, label: int) -> list[int]:
     representative polygon, the nearest candidate (then the nearest to the
     centroid; then vertices before midpoints, by index)."""
     rep_pts = p.coords[select_representative_vertices(p, label)]
-    hat_mids = 0.5 * (rep_pts + np.roll(rep_pts, -1, axis=0))
-    c = centroid(p)
-    cands = np.vstack([p.coords, edge_midpoints(p)])
-    d_c = np.hypot(cands[:, 0] - c[0], cands[:, 1] - c[1])
+    hat_mids = 0.5 * (rep_pts + np.concatenate((rep_pts[1:], rep_pts[:1])))
+    bnd, c = _boundary(p), centroid(p)
+    d_c = np.hypot(bnd[:, 0] - c[0], bnd[:, 1] - c[1])
+    odd = np.arange(2 * p.n) % 2
     chosen = set()
     for m in hat_mids:
-        d_m = np.hypot(cands[:, 0] - m[0], cands[:, 1] - m[1])
-        w = int(np.lexsort((d_c, d_m))[0])
-        chosen.add(2 * w if w < p.n else 2 * (w - p.n) + 1)
+        d_m = np.hypot(bnd[:, 0] - m[0], bnd[:, 1] - m[1])
+        chosen.add(int(np.lexsort((odd, d_c, d_m))[0]))
     return sorted(chosen)
 
 
@@ -261,7 +260,7 @@ def _diagonal_is_interior(p: Polygon, i: int, j: int, tol: float) -> bool:
     seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
     eps = 1e-13 * seg_len * seg_len
     c = p.coords
-    cross = segments_straddle(segment_orientations(a, b, c.T, np.roll(c, -1, axis=0).T), eps)
+    cross = segments_straddle(segment_orientations(a, b, c.T, np.concatenate((c[1:], c[:1])).T), eps)
     cross[[i - 1, i, j - 1, j]] = False  # the edges that end at a or b
     return not cross.any()
 
@@ -291,7 +290,7 @@ def validate_partition(parent: Polygon, children: list[Polygon]) -> bool:
 
 def _any_child_edges_cross(polys: list[Polygon]) -> bool:
     a = np.vstack([c.coords for c in polys])
-    b = np.vstack([np.roll(c.coords, -1, axis=0) for c in polys])
+    b = np.vstack([np.concatenate((c.coords[1:], c.coords[:1])) for c in polys])
     owner = np.repeat(np.arange(len(polys)), [c.n for c in polys])
     scale = float(np.abs(a).max()) + 1e-300
     eps = 1e-13 * scale * scale

@@ -119,8 +119,8 @@ def projection_parts(p: Polygon):
     D = np.column_stack(
         [np.ones(n), (coords[:, 0] - xc) / h, (coords[:, 1] - yc) / h]
     )
-    nxt = np.roll(coords, -1, axis=0)
-    prv = np.roll(coords, 1, axis=0)
+    nxt = np.concatenate((coords[1:], coords[:1]))
+    prv = np.concatenate((coords[-1:], coords[:-1]))
     # sum of the two incident outward normals times edge lengths, halved
     d = 0.5 * np.column_stack([nxt[:, 1] - prv[:, 1], prv[:, 0] - nxt[:, 0]])
     B = np.vstack([np.full(n, 1.0 / n), d[:, 0] / h, d[:, 1] / h])
@@ -145,7 +145,7 @@ def polygon_quadrature(p: Polygon) -> tuple[np.ndarray, np.ndarray]:
     centroid; exact to degree 4 for any simple polygon."""
     c = centroid(p)
     a = p.coords
-    b = np.roll(a, -1, axis=0)
+    b = np.concatenate((a[1:], a[:1]))
     # signed triangle areas of (c, a_i, b_i)
     s = 0.5 * ((a[:, 0] - c[0]) * (b[:, 1] - c[1]) - (b[:, 0] - c[0]) * (a[:, 1] - c[1]))
     pts = (

@@ -6,7 +6,9 @@ adaptive passes (the 30% largest diameters) on three grids, written by
 unrefined neighbours from one pass to the next. The CNN strategies use the geometric stand-in
 classifier `corner_label`, so the hashes do not depend on a trained model.
 The strategy counts of the passes are checked first, so a mismatch
-names the branch that moved.
+names the branch that moved. Every pass output must also pass the full
+`PolyMesh.validate` and keep its input's total area: a pass itself checks
+only conformity.
 """
 import hashlib
 from collections import Counter
@@ -73,6 +75,13 @@ ADAPTIVE_COUNTS = {
 }
 
 
+def _checked_pass(m, marks, strategy):
+    new, report = refine_mesh_report(m, marks, strategy, corner_label)
+    new.validate()
+    assert new.total_area() == pytest.approx(m.total_area(), rel=1e-10, abs=0)
+    return new, report
+
+
 def _sha256_of_saved(m, tmp_path) -> str:
     path = tmp_path / "mesh_refined.txt"
     save_mesh(m, path)
@@ -84,7 +93,7 @@ def test_two_uniform_passes_match_golden_hash(tmp_path, grid, strategy):
     m = GRID_GENERATORS[grid]()
     counts = Counter()
     for _ in range(2):
-        m, report = refine_mesh_report(m, range(m.n_elements), strategy, corner_label)
+        m, report = _checked_pass(m, range(m.n_elements), strategy)
         counts.update(report.strategy_counts)
     assert dict(counts) == COUNTS[(grid, strategy)]
     assert _sha256_of_saved(m, tmp_path) == GOLDEN[(grid, strategy)]
@@ -96,7 +105,7 @@ def test_three_adaptive_passes_match_golden_hash(tmp_path, grid, strategy):
     counts = Counter()
     for _ in range(3):
         marks = mark_fixed_fraction([diameter(p) for p in m.polygons()], 0.3)
-        m, report = refine_mesh_report(m, marks, strategy, corner_label)
+        m, report = _checked_pass(m, marks, strategy)
         counts.update(report.strategy_counts)
     assert dict(counts) == ADAPTIVE_COUNTS[(grid, strategy)]
     assert _sha256_of_saved(m, tmp_path) == ADAPTIVE_GOLDEN[(grid, strategy)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polyrefine import geometry
 from polyrefine.geometry import PolygonError, is_convex
 from polyrefine.mesh import (
     GRID_GENERATORS,
@@ -168,6 +169,32 @@ def test_refine_mesh_rejects_bad_marks():
     m = two_triangle_mesh()
     with pytest.raises(MeshError):
         refine_mesh(m, [7], Strategy.MP)
+    # a mask is not a list of indices: it would refine elements 0 and 1
+    grid = generate_triangle_grid(2)
+    mask = [k % 3 == 2 for k in range(grid.n_elements)]
+    with pytest.raises(MeshError, match="^mark False is not an element index$"):
+        refine_mesh(grid, mask, Strategy.MP)
+    with pytest.raises(MeshError, match="is not an element index"):
+        refine_mesh(grid, np.array(mask), Strategy.MP)
+    with pytest.raises(MeshError, match="^mark 2.7 is not an element index$"):
+        refine_mesh(grid, [2, 2.7], Strategy.MP)
+    # numpy integers are indices
+    assert refine_mesh(grid, np.flatnonzero(mask), Strategy.MP).n_elements == 12
+
+
+def test_a_refinement_pass_checks_each_child_once(monkeypatch):
+    """`refine_element` checks each child it creates; the pass checks no
+    loop again, neither the children nor the elements it left alone."""
+    m = generate_voronoi_grid(9, seed=0)
+    calls = []
+    is_simple = geometry._is_simple
+    monkeypatch.setattr(geometry, "_is_simple", lambda c: calls.append(len(c)) or is_simple(c))
+    created = 0
+    for _ in range(3):
+        m, report = refine_mesh_report(m, range(m.n_elements), Strategy.MP)
+        created += len(report.created)
+    assert created == 3448
+    assert len(calls) == created
 
 
 def test_uniform_rp_counts_on_triangle_grid():
