@@ -191,11 +191,9 @@ def distance_to_boundary(p: Polygon, pts: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
-def contains_many(p: Polygon, pts: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Ray-crossing containment for points (m, 2); boundary counts as inside."""
+def contains_many(p: Polygon, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Ray-crossing containment for points (m, 2); within tol of the boundary is inside."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if tol is None:
-        tol = geom_tol(p)
     a = p.coords
     b = np.concatenate((a[1:], a[:1]))
     x, y = pts[:, 0:1], pts[:, 1:2]  # (m, 1)

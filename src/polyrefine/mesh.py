@@ -24,6 +24,7 @@ directly; it never compares coordinates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +45,18 @@ class MeshError(ValueError):
     pass
 
 
+def _vertex_ids(eid: int, loop) -> list[int]:
+    """The entries of element `eid`'s loop as ints; a float or a bool raises."""
+    loop = list(loop)
+    try:
+        if bool not in map(type, loop):
+            return list(map(operator.index, loop))
+    except TypeError:  # an entry without __index__, such as a float
+        pass
+    bad = next(v for v in loop if isinstance(v, bool) or not isinstance(v, (int, np.integer)))
+    raise MeshError(f"element {eid}: vertex index {bad!r} is not an integer")
+
+
 class PolyMesh:
     """Vertices plus CCW vertex-index loops, one per element.
 
@@ -54,7 +67,7 @@ class PolyMesh:
 
     def __init__(self, vertices, elements, validate: bool = True):
         self.vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 2)
-        self.elements = [list(map(int, loop)) for loop in elements]
+        self.elements = [_vertex_ids(eid, loop) for eid, loop in enumerate(elements)]
         if validate:
             self.validate()
 

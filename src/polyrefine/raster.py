@@ -1,4 +1,6 @@
-"""Polygon to 64x64 binary image conversion for the shape classifier."""
+"""Polygon to 64x64 binary image conversion for the shape classifier: an
+even-odd scanline fill (Foley, van Dam et al., *Computer Graphics*, section
+3.6) that lights the pixels a per-pixel ray test would, at O(64 n + 4096) cost."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Polygon, contains_many, diameter
+from .geometry import Polygon, diameter, distance_to_boundary, geom_tol
 
 RESOLUTION = 64
 MARGIN = 1.0 / RESOLUTION  # keeps boundary pixels clear of the box edge
@@ -22,7 +24,7 @@ class BinaryImage:
         px = np.asarray(self.pixels)
         if px.shape != (RESOLUTION, RESOLUTION):
             raise ValueError(f"expected {RESOLUTION}x{RESOLUTION} pixels")
-        if not np.isin(px, (0, 1)).all():
+        if not ((px == 0) | (px == 1)).all():
             raise ValueError("pixels must be 0 or 1")
         if not px.any():
             raise ValueError("image is empty")
@@ -35,8 +37,9 @@ class BinaryImage:
         return int(self.pixels.sum())
 
     def to_pgm(self) -> str:
-        rows = "\n".join(" ".join(str(v) for v in row) for row in self.pixels)
-        return f"P1\n{RESOLUTION} {RESOLUTION}\n{rows}\n"
+        text = np.full((RESOLUTION, 2 * RESOLUTION), ord(" "), dtype=np.uint8)  # a text row per pixel row
+        text[:, ::2], text[:, -1] = self.pixels + ord("0"), ord("\n")
+        return f"P1\n{RESOLUTION} {RESOLUTION}\n" + text.tobytes().decode()
 
     def save_pgm(self, path) -> None:
         Path(path).write_text(self.to_pgm())
@@ -73,15 +76,8 @@ class BinaryImage:
         return cls(lit.astype(np.uint8).reshape(h, w))
 
 
-def _pixel_centers() -> np.ndarray:
-    """Centers of all pixels in (x, y) coordinates of the unit box."""
-    idx = (np.arange(RESOLUTION) + 0.5) / RESOLUTION
-    xs = np.tile(idx, RESOLUTION)
-    ys = np.repeat(1.0 - idx, RESOLUTION)  # row 0 at the top
-    return np.column_stack([xs, ys])
-
-
-_CENTERS = _pixel_centers()
+_XS = (np.arange(RESOLUTION) + 0.5) / RESOLUTION  # pixel-centre x of column j
+_YS = 1.0 - _XS  # pixel-centre y of row i (row 0 at the top)
 
 
 def rasterize(p: Polygon) -> BinaryImage:
@@ -90,7 +86,8 @@ def rasterize(p: Polygon) -> BinaryImage:
     Each bounding-box side is stretched onto [MARGIN, 1-MARGIN] (anisotropic
     normalization), so the result is invariant under translation and uniform
     scaling of the input and elongated elements use the full raster instead
-    of collapsing into a thin band. A pixel is lit iff its center is inside.
+    of collapsing into a thin band. A pixel is lit iff its center is inside
+    or within `geom_tol` of the boundary: its row's edge crossings decide.
     """
     if diameter(p) < 1e-12:
         raise ValueError("degenerate input")
@@ -100,8 +97,30 @@ def rasterize(p: Polygon) -> BinaryImage:
     scale = (1.0 - 2.0 * MARGIN) / span
     center = 0.5 * (lo + hi)
     scaled = Polygon.trusted(0.5 + (p.coords - center) * scale)  # positive scales keep CCW
-    mask = contains_many(scaled, _CENTERS)
-    grid = mask.reshape(RESOLUTION, RESOLUTION).astype(np.uint8)
+    (x1, y1), (x2, y2) = scaled.coords.T, np.concatenate((scaled.coords[1:], scaled.coords[:1])).T
+    r, e = np.nonzero((y1 <= _YS[:, None]) != (y2 <= _YS[:, None]))
+    xcross = x1[e] + (_YS[r] - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
+    k = np.searchsorted(_XS, xcross, side="left")  # the column centres left of the crossing
+    crossings = np.bincount(r * (RESOLUTION + 1) + k, minlength=RESOLUTION * (RESOLUTION + 1))
+    # A row holds an even number of crossings, so an odd number right of column j is an
+    # odd number with k <= j, and a running sum over all rows keeps each row's parity.
+    lit = (crossings.cumsum() & 1).reshape(RESOLUTION, RESOLUTION + 1)[:, :-1].astype(bool)
+    # a centre within tol of an edge is within tol of the x-range of its part in the slab |y - y_row| <= tol
+    tol = geom_tol(scaled)
+    w = tol + 1e-9  # the slack covers rounding in these bounds
+    ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
+    r, e = np.nonzero((ylo - w <= _YS[:, None]) & (_YS[:, None] <= yhi + w))
+    x0, dx, y0, dy = x1[e], x2[e] - x1[e], y1[e], y2[e] - y1[e]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a horizontal edge lies in the slab whole
+        xa, xb = (x0 + dx * np.where(dy == 0.0, t, (np.clip(_YS[r] + s, ylo[e], yhi[e]) - y0) / dy)
+                  for s, t in ((-w, 0.0), (w, 1.0)))
+    first = np.searchsorted(_XS, np.minimum(xa, xb) - w, side="left")
+    n = np.searchsorted(_XS, np.maximum(xa, xb) + w, side="right") - first
+    rows, cols = np.repeat(r, n), np.arange(n.sum()) + np.repeat(first + n - np.cumsum(n), n)
+    rows, cols = rows[~lit[rows, cols]], cols[~lit[rows, cols]]
+    if len(rows):
+        lit[rows, cols] = distance_to_boundary(scaled, np.column_stack([_XS[cols], _YS[rows]])) <= tol
+    grid = lit.astype(np.uint8)
     if not grid.any():
         # Sliver thinner than a pixel: light the pixel holding the centroid.
         c = scaled.coords.mean(axis=0)

@@ -18,6 +18,7 @@ from polyrefine.geometry import (
     diameter,
     distance_to_boundary,
     edge_midpoints,
+    geom_tol,
     inscribed_radius,
     interior_angles,
     is_convex,
@@ -110,9 +111,9 @@ def test_edge_midpoints():
 
 def test_contains():
     # the last square point lies on the boundary, which counts as inside
-    got = contains_many(SQUARE, [(0.5, 0.5), (1.5, 0.5), (1.0, 0.5)])
+    got = contains_many(SQUARE, [(0.5, 0.5), (1.5, 0.5), (1.0, 0.5)], geom_tol(SQUARE))
     assert got.tolist() == [True, False, True]
-    assert contains_many(L_SHAPE, [(1.5, 1.5), (0.5, 0.5)]).tolist() == [False, True]
+    assert contains_many(L_SHAPE, [(1.5, 1.5), (0.5, 0.5)], geom_tol(L_SHAPE)).tolist() == [False, True]
 
 
 def test_is_convex():
@@ -208,7 +209,7 @@ def test_convex_polygon_contains_centroid(rng):
     for _ in range(25):
         p = random_star_polygon(rng, reflex=False)
         if is_convex(p):
-            assert contains_many(p, centroid(p)).all()
+            assert contains_many(p, centroid(p), geom_tol(p)).all()
 
 
 def test_aligned_vertex_preserves_measures(rng):

@@ -220,6 +220,18 @@ def test_mesh_validation_catches_overlap():
         PolyMesh(verts, [[0, 1, 2, 3], [0, 1, 2]])  # overlapping elements
 
 
+def test_mesh_rejects_non_integer_vertex_indices():
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    with pytest.raises(MeshError, match="^element 0: vertex index 1.7 is not an integer$"):
+        PolyMesh(square, [[0, 1.7, 2.2], [0, 2, 3]])
+    with pytest.raises(MeshError, match="^element 1: vertex index True is not an integer$"):
+        PolyMesh(square, [[0, 1, 2], [0, 2, True]])
+    # numpy integers are indices, stored as ints
+    m = PolyMesh(square, [np.array([0, 1, 2]), np.array([0, 2, 3], dtype=np.int32)])
+    assert m.elements == [[0, 1, 2], [0, 2, 3]]
+    assert all(type(v) is int for loop in m.elements for v in loop)
+
+
 def test_mesh_validation_rejects_clockwise_loops(tmp_path):
     m = generate_triangle_grid(2)
     cw = PolyMesh(m.vertices, [loop[::-1] for loop in m.elements], validate=False)
