@@ -1,4 +1,6 @@
-"""CNN building blocks on float64 numpy arrays, written from scratch.
+"""CNN building blocks on numpy arrays, written from scratch. Parameters
+are float64; the arithmetic runs in the input's dtype (float32 in training and
+evaluation, float64 in `Network.forward`).
 
 Layers operate on batches shaped (N, rows, cols, channels). ``forward``
 stashes whatever ``backward`` needs; ``backward`` consumes the upstream
@@ -79,9 +81,18 @@ class ConvLayer:
         if self._use_shifts():
             xp = np.pad(x, ((0, 0), (k, k), (k, k), (0, 0)))
             out = np.empty((N, m, n, self.feature_maps), dtype=dt)
-            out[:] = bias
-            for a in range(K):
-                for b in range(K):
+            if self.in_channels == 1:
+                # one map at a time on contiguous (N, m, n) planes, in the same order:
+                # a product with inner dimension 1 rounds once, as the matmul does
+                acc = np.empty((N, m, n), dtype=dt)
+                for o in range(self.feature_maps):
+                    acc[:] = bias[o]
+                    for a, b in np.ndindex(K, K):
+                        acc += xp[:, a : a + m, b : b + n, 0] * kernel[a, b, 0, o]
+                    out[..., o] = acc
+            else:
+                out[:] = bias
+                for a, b in np.ndindex(K, K):
                     out += xp[:, a : a + m, b : b + n, :] @ kernel[a, b]
             self._xp = xp if train else None
             self._cols = None
@@ -92,40 +103,40 @@ class ConvLayer:
         w = kernel.reshape(K * K * self.in_channels, self.feature_maps)
         return cols @ w + bias
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def param_gradients(self, grad: np.ndarray) -> None:
+        """Set g_kernel and g_bias from the upstream gradient of the last
+        training forward; `backward` adds the input gradient."""
         N, m, n, h = grad.shape
-        k, K = self.k, 2 * self.k + 1
-        c = self.in_channels
-        dt = grad.dtype
-        kernel = self.kernel.astype(dt, copy=False)
-        if self._xp is not None:
-            xp = self._xp
-            g_kernel = np.empty_like(self.kernel)
-            dxp = np.zeros_like(xp)
-            g2d = grad.reshape(-1, h)
-            for a in range(K):
-                for b in range(K):
-                    xs = xp[:, a : a + m, b : b + n, :].reshape(-1, c)
-                    g_kernel[a, b] = xs.T @ g2d
-                    dxp[:, a : a + m, b : b + n, :] += grad @ kernel[a, b].T
-            self.g_kernel = g_kernel.astype(np.float64, copy=False)
-            self.g_bias = g2d.sum(axis=0, dtype=np.float64)
-            return dxp[:, k : k + m, k : k + n, :]
-        cols2d = self._cols.reshape(-1, K * K * c)
+        K, c = 2 * self.k + 1, self.in_channels
         g2d = grad.reshape(-1, h)
-        self.g_kernel = (cols2d.T @ g2d).reshape(K, K, c, h).astype(np.float64, copy=False)
+        if self._xp is not None:
+            g_kernel = np.empty_like(self.kernel)
+            for a, b in np.ndindex(K, K):
+                g_kernel[a, b] = self._xp[:, a : a + m, b : b + n, :].reshape(-1, c).T @ g2d
+        else:
+            g_kernel = (self._cols.reshape(-1, K * K * c).T @ g2d).reshape(K, K, c, h)
+        self.g_kernel = g_kernel.astype(np.float64, copy=False)
         self.g_bias = g2d.sum(axis=0, dtype=np.float64)
-        w = kernel.reshape(K * K * c, h)
-        dcols = (g2d @ w.T).reshape(N, m, n, K, K, c)
-        dxp = np.zeros((N, m + 2 * k, n + 2 * k, c), dtype=dt)
-        for a in range(K):
-            for b in range(K):
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        self.param_gradients(grad)
+        N, m, n, h = grad.shape
+        k, K, c = self.k, 2 * self.k + 1, self.in_channels
+        kernel = self.kernel.astype(grad.dtype, copy=False)
+        dxp = np.zeros((N, m + 2 * k, n + 2 * k, c), dtype=grad.dtype)
+        if self._xp is not None:
+            for a, b in np.ndindex(K, K):
+                dxp[:, a : a + m, b : b + n, :] += grad @ kernel[a, b].T
+        else:
+            dcols = (grad.reshape(-1, h) @ kernel.reshape(K * K * c, h).T).reshape(N, m, n, K, K, c)
+            for a, b in np.ndindex(K, K):
                 dxp[:, a : a + m, b : b + n, :] += dcols[:, :, :, a, b, :]
         return dxp[:, k : k + m, k : k + n, :]
 
 
 class MaxPoolLayer:
-    """k x k max pooling with stride k, zero padding, ceil output dims."""
+    """k x k max pooling with stride k, zero padding, ceil output dims. A tie
+    of 0.0 and -0.0 may pool to either (activations after ReLU hold no -0.0)."""
 
     def __init__(self, size: int = 2):
         self.size = size
@@ -142,25 +153,29 @@ class MaxPoolLayer:
         s = self.size
         N, m, n, c = x.shape
         mo, no = -(-m // s), -(-n // s)
-        xp = np.pad(x, ((0, 0), (0, mo * s - m), (0, no * s - n), (0, 0)))
-        win = xp.reshape(N, mo, s, no, s, c).transpose(0, 1, 3, 5, 2, 4)
-        win = win.reshape(N, mo, no, c, s * s)
-        idx = win.argmax(axis=-1)
-        out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        if (m, n) != (mo * s, no * s):
+            x = np.pad(x, ((0, 0), (0, mo * s - m), (0, no * s - n), (0, 0)))
+        views = [x[:, p::s, q::s] for p in range(s) for q in range(s)]  # row-major window order
+        out = views[0].copy()
+        for v in views[1:]:
+            np.maximum(out, v, out=out)
         if train:
-            self._idx = idx
-            self._in_shape = (m, n)
+            # the gradient goes to the first maximum in row-major window order
+            idx = np.zeros(out.shape, dtype=np.min_scalar_type(s * s))
+            for q in range(s * s - 2, -1, -1):  # idx <- q if views[q] holds the maximum, else idx + 1
+                idx += 1
+                idx *= views[q] != out
+            self._idx, self._in_shape = idx, (m, n)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         s = self.size
         N, mo, no, c = grad.shape
         m, n = self._in_shape
-        dwin = np.zeros((N, mo, no, c, s * s), dtype=grad.dtype)
-        np.put_along_axis(dwin, self._idx[..., None], grad[..., None], axis=-1)
-        dxp = dwin.reshape(N, mo, no, c, s, s).transpose(0, 1, 4, 2, 5, 3)
-        dxp = dxp.reshape(N, mo * s, no * s, c)
-        return dxp[:, :m, :n, :]
+        dx = np.empty((N, mo * s, no * s, c), dtype=grad.dtype)
+        for q in range(s * s):
+            dx[:, q // s :: s, q % s :: s] = np.where(self._idx == q, grad, 0)
+        return dx[:, :m, :n]
 
 
 class ReLULayer:
@@ -180,6 +195,21 @@ class ReLULayer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad * self._mask
+
+
+def _wide(x: np.ndarray, *vectors: np.ndarray):
+    """`x` as rows of >= 128 lanes (whole channel vectors, where the row count
+    allows) and each per-channel vector tiled to one row: the same elementwise
+    bytes as broadcasting, with numpy's inner loops over lanes, not channels."""
+    c = x.shape[-1]
+    r = math.gcd(x.size // c, -(-128 // c))
+    return (x.reshape(-1, r * c), *(np.concatenate([v] * r) for v in vectors))
+
+
+def _affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """x * scale + shift with per-channel vectors."""
+    x2, scale, shift = _wide(x, scale, shift)
+    return (x2 * scale + shift).reshape(x.shape)
 
 
 class BatchNormLayer:
@@ -229,15 +259,19 @@ class BatchNormLayer:
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = x * inv_std.astype(dt) + (-mu * inv_std).astype(dt)
+            xhat = _affine(x, inv_std.astype(dt), (-mu * inv_std).astype(dt))
             self._xhat = xhat
             self._inv_std = inv_std.astype(dt)
-            return self.gamma.astype(dt) * xhat + self.beta.astype(dt)
-        # fused y = x * scale + shift with per-channel constants
-        inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-        scale = (self.gamma * inv_std).astype(dt)
-        shift = (self.beta - self.gamma * self.running_mean * inv_std).astype(dt)
-        return x * scale + shift
+            return _affine(xhat, self.gamma.astype(dt), self.beta.astype(dt))
+        return self.normalize(x, self.running_mean, self.running_var)
+
+    def normalize(self, x: np.ndarray, mean, var) -> np.ndarray:
+        """Inference map for the given statistics: one fused x * scale + shift
+        with per-channel constants, in x's dtype."""
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        scale = (self.gamma * inv_std).astype(x.dtype)
+        shift = (self.beta - self.gamma * mean * inv_std).astype(x.dtype)
+        return _affine(x, scale, shift)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         dt = grad.dtype
@@ -252,12 +286,11 @@ class BatchNormLayer:
         self.g_gamma = np.asarray(sum_gxh, dtype=np.float64)
         self.g_beta = np.asarray(sum_g, dtype=np.float64)
         gamma = self.gamma.astype(dt)
-        dx = (
-            grad * gamma
-            - (gamma * sum_g.astype(dt) / m)
-            - xhat * (gamma * sum_gxh.astype(dt) / m)
-        ) * self._inv_std
-        return dx
+        grad2, gamma, mean_g, mean_gxh, inv_std = _wide(
+            grad, gamma, gamma * sum_g.astype(dt) / m, gamma * sum_gxh.astype(dt) / m, self._inv_std
+        )
+        dx = grad2 * gamma - mean_g - xhat.reshape(grad2.shape) * mean_gxh
+        return (dx * inv_std).reshape(grad.shape)
 
 
 class DenseLayer:

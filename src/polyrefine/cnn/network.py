@@ -63,8 +63,13 @@ class Network:
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
         g = dlogits
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
+        first = self.layers[0]
+        if isinstance(first, ConvLayer):
+            first.param_gradients(g)  # nothing reads the gradient of the images
+        else:
+            first.backward(g)
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
@@ -97,7 +102,7 @@ class Network:
                     a[2] = a[2] + n * (var + mu * mu)
                     # normalize by this batch's stats (as in training) so the
                     # deeper layers see the distribution they will get
-                    x = self._bn_with(layer, x, mu, var)
+                    x = layer.normalize(x, mu, var)
                 else:
                     x = layer.forward(x, train=False)
         for layer in norms:
@@ -105,14 +110,6 @@ class Network:
             mean = s1 / count
             layer.running_mean = np.asarray(mean, dtype=np.float64)
             layer.running_var = np.asarray(s2 / count - mean * mean, dtype=np.float64)
-
-    @staticmethod
-    def _bn_with(layer: BatchNormLayer, x: np.ndarray, mu, var) -> np.ndarray:
-        dt = x.dtype
-        inv_std = 1.0 / np.sqrt(var + layer.eps)
-        scale = (layer.gamma * inv_std).astype(dt)
-        shift = (layer.beta - layer.gamma * mu * inv_std).astype(dt)
-        return x * scale + shift
 
     # -- classification ---------------------------------------------------------
     def classify_polygon(self, p: Polygon) -> int:

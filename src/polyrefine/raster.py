@@ -53,10 +53,9 @@ class BinaryImage:
             text = data.decode()
         except UnicodeDecodeError as e:
             raise ValueError(f"byte {e.start}: not UTF-8 text") from None
-        tokens = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
+        if "#" in text:  # a comment runs to the end of its line; every line break is whitespace
+            text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        tokens = text.split(maxsplit=3)
         if not tokens or tokens[0] != "P1":
             raise ValueError("not a P1 bitmap")
         for i, what in ((1, "width"), (2, "height")):
@@ -65,15 +64,23 @@ class BinaryImage:
             if not tokens[i].isdecimal():
                 raise ValueError(f"P1 bitmap: {what} {tokens[i]!r} is not a whole number")
         w, h = int(tokens[1]), int(tokens[2])
-        pixels = np.array(tokens[3:], dtype=str)
+        body = tokens[3] if len(tokens) > 3 else ""
+        raw = body.encode()
+        digits = np.frombuffer(raw.translate(None, _ASCII_SPACE), dtype=np.uint8)
+        bit = (np.frombuffer(raw, dtype=np.uint8) | 1) == ord("1")  # the characters 0 and 1
+        if ((digits | 1) == ord("1")).all() and not (bit[1:] & bit[:-1]).any():
+            pixels = digits - ord("0")  # each token is a single 0 or 1
+        else:
+            pixels = np.array([{"0": 0, "1": 1}.get(t, 2) for t in body.split()], dtype=np.uint8)
         if len(pixels) != w * h:
             raise ValueError(f"P1 bitmap: {len(pixels)} pixels for a {w}x{h} image")
-        lit = pixels == "1"
-        bad = ~lit & (pixels != "0")
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"P1 bitmap: pixel {k} is {tokens[3 + k]!r}, not 0 or 1")
-        return cls(lit.astype(np.uint8).reshape(h, w))
+        if (pixels > 1).any():
+            k = int(np.argmax(pixels > 1))
+            raise ValueError(f"P1 bitmap: pixel {k} is {body.split()[k]!r}, not 0 or 1")
+        return cls(pixels.reshape(h, w))
+
+
+_ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
 
 
 _XS = (np.arange(RESOLUTION) + 0.5) / RESOLUTION  # pixel-centre x of column j
@@ -89,11 +96,11 @@ def rasterize(p: Polygon) -> BinaryImage:
     of collapsing into a thin band. A pixel is lit iff its center is inside
     or within `geom_tol` of the boundary: its row's edge crossings decide.
     """
-    if diameter(p) < 1e-12:
+    if (d := diameter(p)) < 1e-12:
         raise ValueError("degenerate input")
     lo = p.coords.min(axis=0)
     hi = p.coords.max(axis=0)
-    span = np.maximum(hi - lo, 1e-14 * diameter(p))
+    span = np.maximum(hi - lo, 1e-14 * d)
     scale = (1.0 - 2.0 * MARGIN) / span
     center = 0.5 * (lo + hi)
     scaled = Polygon.trusted(0.5 + (p.coords - center) * scale)  # positive scales keep CCW

@@ -93,8 +93,8 @@ def test_conv_channel_mismatch():
 
 
 def test_conv_matches_oracle(rng):
-    # both the shift path (small channel product) and the im2col path
-    for c, h in ((2, 3), (4, 32)):
+    # the one-plane path, the shift path (small channel product) and the im2col path
+    for c, h in ((1, 2), (2, 3), (4, 32)):
         layer = ConvLayer(c, h, k=1, rng=rng)
         x = rng.normal(size=(8, 8, c))
         assert np.abs(layer.forward(x[None])[0] - conv_oracle(x, layer)).max() < 1e-12
@@ -221,7 +221,7 @@ def _fd_param_check(layer, x, rng, h=1e-5, samples=6):
 
 
 def test_conv_gradients(rng):
-    for c, h in ((2, 3), (3, 24)):
+    for c, h in ((1, 2), (2, 3), (3, 24)):
         layer = ConvLayer(c, h, k=1, rng=rng)
         x = rng.normal(size=(2, 6, 6, c))
         _fd_input_check(layer, x, rng)
@@ -272,3 +272,131 @@ def test_softmax_cross_entropy_gradient(rng):
         zm[i, j] -= h
         fd = (softmax_cross_entropy(zp, y)[0] - softmax_cross_entropy(zm, y)[0]) / (2 * h)
         assert abs(fd - dlogits[i, j]) / max(1e-8, abs(fd)) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# bit-exact references: the broadcasting, argmax and matmul formulas that the
+# plane, strided-view and wide-lane code replaced must give the same bytes
+# ---------------------------------------------------------------------------
+
+DTYPES = (np.float32, np.float64)
+
+
+def conv_matmul_reference(layer, x):
+    """Shift path for any channel count: one matmul per kernel offset."""
+    k, K = layer.k, 2 * layer.k + 1
+    kernel = layer.kernel.astype(x.dtype)
+    N, m, n, _ = x.shape
+    xp = np.pad(x, ((0, 0), (k, k), (k, k), (0, 0)))
+    out = np.empty((N, m, n, layer.feature_maps), dtype=x.dtype)
+    out[:] = layer.bias.astype(x.dtype)
+    for a in range(K):
+        for b in range(K):
+            out += xp[:, a : a + m, b : b + n, :] @ kernel[a, b]
+    return out
+
+
+def pool_argmax_reference(x, grad, s):
+    """Max pooling through argmax over each flattened window, and its
+    gradient through put_along_axis."""
+    N, m, n, c = x.shape
+    mo, no = -(-m // s), -(-n // s)
+    xp = np.pad(x, ((0, 0), (0, mo * s - m), (0, no * s - n), (0, 0)))
+    win = xp.reshape(N, mo, s, no, s, c).transpose(0, 1, 3, 5, 2, 4).reshape(N, mo, no, c, s * s)
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    dwin = np.zeros((N, mo, no, c, s * s), dtype=grad.dtype)
+    np.put_along_axis(dwin, idx[..., None], grad[..., None], axis=-1)
+    dx = dwin.reshape(N, mo, no, c, s, s).transpose(0, 1, 4, 2, 5, 3).reshape(N, mo * s, no * s, c)
+    return out, dx[:, :m, :n]
+
+
+def batchnorm_broadcast_reference(layer, x, grad):
+    """Training forward, backward and inference of batch norm with the
+    per-channel vectors broadcast against the channels-last batch."""
+    dt = x.dtype
+    mu, var = layer.batch_stats(x)
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = x * inv_std.astype(dt) + (-mu * inv_std).astype(dt)
+    gamma = layer.gamma.astype(dt)
+    y = gamma * xhat + layer.beta.astype(dt)
+    c = x.shape[-1]
+    g2, m = grad.reshape(-1, c), grad.size // c
+    sum_gxh = layer._channel_sum(g2 * xhat.reshape(-1, c))
+    sum_g = layer._channel_sum(g2)
+    dx = (
+        grad * gamma - (gamma * sum_g.astype(dt) / m) - xhat * (gamma * sum_gxh.astype(dt) / m)
+    ) * inv_std.astype(dt)
+    inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+    scale = (layer.gamma * inv_std).astype(dt)
+    shift = (layer.beta - layer.gamma * layer.running_mean * inv_std).astype(dt)
+    return y, dx, x * scale + shift
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b) and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_one_plane_conv_matches_matmul_formula_bit_for_bit(rng, dtype):
+    layer = ConvLayer(1, 2, k=1, rng=rng)
+    layer.bias[:] = rng.normal(size=2)
+    for x in ((rng.random((3, 9, 7, 1)) < 0.4), rng.normal(size=(3, 9, 7, 1))):
+        x = x.astype(dtype)
+        ref = conv_matmul_reference(layer, x)
+        assert _same_bytes(layer.forward(x), ref)
+        assert _same_bytes(layer.forward(x, train=True), ref)
+        grad = rng.normal(size=ref.shape).astype(dtype)
+        layer.param_gradients(grad)  # the network's first layer stops here
+        g_kernel, g_bias = layer.g_kernel.copy(), layer.g_bias.copy()
+        layer.backward(grad)
+        assert _same_bytes(layer.g_kernel, g_kernel) and _same_bytes(layer.g_bias, g_bias)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape, s", [((4, 8, 8, 2), 2), ((3, 5, 7, 3), 2), ((2, 7, 9, 2), 3)])
+def test_pool_matches_argmax_formula_bit_for_bit(rng, dtype, shape, s):
+    layer = MaxPoolLayer(s)
+    for x in (
+        (rng.random(shape) < 0.5),  # 0/1 rasters: nearly every window ties
+        np.round(rng.normal(size=shape)) + 0.0,  # ties among a few values (no -0.0), zeros in the padding
+        rng.normal(size=shape),
+    ):
+        x = x.astype(dtype)
+        out = layer.forward(x, train=True)
+        grad = rng.normal(size=out.shape).astype(dtype)
+        ref_out, ref_dx = pool_argmax_reference(x, grad, s)
+        assert _same_bytes(out, ref_out)
+        assert _same_bytes(layer.backward(grad), ref_dx)
+        assert _same_bytes(layer.forward(x), ref_out)
+
+
+def test_pool_gradient_goes_to_first_maximum_in_row_major_window_order():
+    layer = MaxPoolLayer(2)
+    x = np.array([[1.0, 1.0, 0.0, 2.0, 0.0, 0.0], [1.0, 0.0, 2.0, 2.0, 0.0, 0.0]])
+    layer.forward(x[None, :, :, None], train=True)
+    dx = layer.backward(np.array([[[[5.0], [6.0], [7.0]]]]))[0, :, :, 0]
+    want = np.array([[5.0, 0.0, 0.0, 6.0, 7.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    assert _same_bytes(dx, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(4, 8, 8, 2), (1, 3, 3, 3), (2, 2, 2, 64), (5, 4, 4, 5)])
+def test_batchnorm_matches_broadcast_formula_bit_for_bit(rng, dtype, shape):
+    # (1, 3, 3, 3) has 9 rows: no wider view divides it, so the lanes stay 3
+    layer = BatchNormLayer(shape[-1])
+    c = shape[-1]
+    layer.gamma[:] = rng.normal(size=c)
+    layer.beta[:] = rng.normal(size=c)
+    layer.running_mean[:] = rng.normal(size=c)
+    layer.running_var[:] = rng.uniform(0.5, 2.0, size=c)
+    for x in ((rng.random(shape) < 0.4), rng.normal(size=shape)):
+        x = x.astype(dtype)
+        grad = rng.normal(size=shape).astype(dtype)
+        y_ref, dx_ref, infer_ref = batchnorm_broadcast_reference(layer, x, grad)
+        assert _same_bytes(layer.forward(x), infer_ref)
+        assert _same_bytes(layer.normalize(x, layer.running_mean, layer.running_var), infer_ref)
+        assert _same_bytes(layer.forward(x, train=True), y_ref)
+        assert _same_bytes(layer.backward(grad), dx_ref)

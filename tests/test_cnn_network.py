@@ -73,6 +73,21 @@ def test_whole_network_gradient_check(rng):
     assert np.isfinite(loss_val)
 
 
+def test_backward_leaves_out_only_the_image_gradient(rng):
+    """The network's first layer computes no input gradient; every parameter
+    gradient keeps the bytes of a backward pass through all layers."""
+    net = Network(3, seed=2)
+    x = (rng.random((4, 64, 64, 1)) > 0.5).astype(np.float32)
+    y = np.eye(3)[rng.integers(0, 3, size=4)]
+    _, dlogits = cnn.softmax_cross_entropy(net.forward_logits(x, train=True), y)
+    g = dlogits
+    for layer in reversed(net.layers):
+        g = layer.backward(g)
+    every_layer = [a.copy() for a in net.gradients()]
+    net.backward_from_logits(dlogits)
+    assert [a.tobytes() for a in net.gradients()] == [a.tobytes() for a in every_layer]
+
+
 def test_save_load_round_trip(tmp_path, rng):
     net = Network(4, seed=5)
     # make the running statistics non-trivial

@@ -116,6 +116,79 @@ def test_corrupted_pgm_raises_value_error_or_loads_valid(data, valid_files, tmp_
     assert set(np.unique(img.pixels)) <= {0, 1}
 
 
+def from_pgm_token_reference(path) -> BinaryImage:
+    """The P1 parser with every token a Python str, as it was before the
+    byte scan: the reference for the pixels and the error messages."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"byte {e.start}: not UTF-8 text") from None
+    tokens = []
+    for line in text.splitlines():
+        tokens.extend(line.split("#", 1)[0].split())
+    if not tokens or tokens[0] != "P1":
+        raise ValueError("not a P1 bitmap")
+    for i, what in ((1, "width"), (2, "height")):
+        if len(tokens) <= i:
+            raise ValueError(f"P1 bitmap: missing {what}")
+        if not tokens[i].isdecimal():
+            raise ValueError(f"P1 bitmap: {what} {tokens[i]!r} is not a whole number")
+    w, h = int(tokens[1]), int(tokens[2])
+    pixels = np.array(tokens[3:], dtype=str)
+    if len(pixels) != w * h:
+        raise ValueError(f"P1 bitmap: {len(pixels)} pixels for a {w}x{h} image")
+    lit = pixels == "1"
+    bad = ~lit & (pixels != "0")
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"P1 bitmap: pixel {k} is {tokens[3 + k]!r}, not 0 or 1")
+    return BinaryImage(lit.astype(np.uint8).reshape(h, w))
+
+
+# separators and tokens that a byte scan could split differently from str.split
+SEPARATORS = [" ", "\n", "\r\n", "\t", "\x0b", "\x1c", "\x1f", "\x85", "\u00a0", "\u2028", "\u3000", "\x00"]
+ODD_TOKENS = ["01", "2", "00", "\u0663", "1\u00a0", "#", "# 0 1", "P1", "\u00e9", "-1", ""]
+
+
+@st.composite
+def edited_pgm(draw, text: str) -> bytes:
+    """A valid P1 text with up to four tokens or separators replaced."""
+    parts = re.split(r"(\s+)", text)  # tokens at even, separators at odd indices
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(parts) - 1))
+        parts[i] = draw(st.sampled_from(ODD_TOKENS if i % 2 == 0 else SEPARATORS))
+    return "".join(parts).encode()
+
+
+def _outcome(read, path):
+    try:
+        return read(path).pixels.tobytes()
+    except ValueError as e:
+        return str(e)
+
+
+@FUZZ
+@given(data=st.data())
+def test_pgm_parser_agrees_with_token_reference(data, valid_files, tmp_path):
+    raw = data.draw(st.one_of(corrupted(valid_files["pgm"]), edited_pgm(valid_files["pgm"].decode())))
+    path = tmp_path / "image.pgm"
+    path.write_bytes(raw)
+    assert _outcome(BinaryImage.from_pgm, path) == _outcome(from_pgm_token_reference, path)
+
+
+@pytest.mark.parametrize("odd", SEPARATORS + ODD_TOKENS)
+def test_pgm_parser_agrees_with_token_reference_on_each_odd_part(valid_files, tmp_path, odd):
+    parts = re.split(r"(\s+)", valid_files["pgm"].decode())  # parts 0-5 are the header
+    kind = int(odd in SEPARATORS)  # tokens at even, separators at odd indices
+    every = [odd if i > 5 and i % 2 == kind else t for i, t in enumerate(parts)]
+    one = parts[: 2000 + kind] + [odd] + parts[2001 + kind :]  # in the middle of the pixels
+    for edited in (every, one):
+        path = tmp_path / "image.pgm"
+        path.write_bytes("".join(edited).encode())
+        assert _outcome(BinaryImage.from_pgm, path) == _outcome(from_pgm_token_reference, path)
+
+
 @pytest.mark.parametrize("cut", [10, 20, 25, 100, -1])
 def test_truncated_model_names_the_byte(tmp_path, valid_files, cut):
     path = tmp_path / "model.bin"
