@@ -22,10 +22,15 @@ class PolygonError(ValueError):
     """Vertex loop does not describe a valid simple polygon."""
 
 
+def signed_areas(coords: np.ndarray) -> np.ndarray:
+    """Shoelace signed area of each loop in a (..., n, 2) stack."""
+    x, y = coords[..., 0], coords[..., 1]
+    nxt = np.concatenate((coords[..., 1:, :], coords[..., :1, :]), axis=-2)
+    return 0.5 * (x * nxt[..., 1] - nxt[..., 0] * y).sum(-1)
+
+
 def _signed_area(coords: np.ndarray) -> float:
-    x, y = coords[:, 0], coords[:, 1]
-    nxt = np.concatenate((coords[1:], coords[:1]))
-    return 0.5 * float(np.sum(x * nxt[:, 1] - nxt[:, 0] * y))
+    return float(signed_areas(coords))
 
 
 def segment_orientations(p1, p2, p3, p4):
@@ -158,10 +163,15 @@ def perimeter(p: Polygon) -> float:
     return float(np.sum(edge_lengths(p)))
 
 
+def diameters(coords: np.ndarray) -> np.ndarray:
+    """Max pairwise vertex distance of each loop in a (..., n, 2) stack
+    (attained at vertices for a polygon)."""
+    d = coords[..., :, None, :] - coords[..., None, :, :]
+    return np.sqrt((d * d).sum(axis=-1).max(axis=(-2, -1)))
+
+
 def diameter(p: Polygon) -> float:
-    """Max pairwise vertex distance (attained at vertices for a polygon)."""
-    d = p.coords[:, None, :] - p.coords[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=2).max()))
+    return float(diameters(p.coords))
 
 
 def edge_lengths(p: Polygon) -> np.ndarray:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .geometry import (
     _signed_area,
     area,
     area_centroid,
-    diameter,
+    diameters,
 )
 from .refine import RefinementResult, Strategy, refine_element
 
@@ -85,9 +86,20 @@ class PolyMesh:
     def polygons(self) -> list[Polygon]:
         return [self.polygon(i) for i in range(self.n_elements)]
 
+    def vertex_count_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each vertex count n, in increasing order: the ids of the
+        elements with n vertices (ascending) and their loops as a (G, n)
+        index array, so `vertices[loops]` is a (G, n, 2) coordinate stack."""
+        sizes = np.fromiter(map(len, self.elements), np.intp, self.n_elements)
+        flat = np.fromiter(chain.from_iterable(self.elements), np.intp, int(sizes.sum()))
+        start = np.cumsum(sizes) - sizes
+        groups = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
+        return [(ids, flat[start[ids, None] + np.arange(sizes[ids[0]])]) for ids in groups]
+
     @property
     def h(self) -> float:
-        return max(diameter(p) for p in self.polygons())
+        groups = self.vertex_count_groups()
+        return max(float(diameters(self.vertices[loops]).max()) for _, loops in groups)
 
     def total_area(self) -> float:
         return sum(area(p) for p in self.polygons())
@@ -101,13 +113,17 @@ class PolyMesh:
                 inc.setdefault((min(a, b), max(a, b)), []).append(eid)
         return inc
 
-    def boundary_vertices(self) -> set[int]:
-        out: set[int] = set()
-        for (a, b), elems in self.edge_incidence().items():
-            if len(elems) == 1:
-                out.add(a)
-                out.add(b)
-        return out
+    def boundary_vertices(self) -> np.ndarray:
+        """Sorted ids of the vertices on an edge of exactly one element."""
+        nv = self.n_vertices
+        edges = np.concatenate([
+            np.stack((loops, np.roll(loops, -1, axis=1)), axis=-1).reshape(-1, 2)
+            for _, loops in self.vertex_count_groups()
+        ])
+        edges.sort(axis=1)
+        keys, counts = np.unique(edges[:, 0] * nv + edges[:, 1], return_counts=True)
+        single = keys[counts == 1]
+        return np.unique(np.concatenate((single // nv, single % nv)))
 
     def validate(self) -> None:
         """Raise MeshError naming the element unless both checks below pass."""

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import Polygon, area, centroid, diameter
+from .geometry import Polygon, diameters, signed_areas
 from .mesh import PolyMesh, mark_fixed_fraction, refine_mesh
 
 _DIRECT_SOLVE_LIMIT = 5000
@@ -40,7 +40,9 @@ _QB = np.array(
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Exact solution (vanishing on the unit-square boundary), its gradient
-    and the matching forcing term f = -laplacian(u)."""
+    and the matching forcing term f = -laplacian(u). Each callable takes
+    coordinate arrays x, y and broadcasts over them, returning arrays (a
+    pair of arrays for `grad`) of their shape."""
 
     name: str
     exact: callable
@@ -106,55 +108,57 @@ def linear_case(a: float = 1.0, b: float = 0.0, c: float = 0.0) -> ManufacturedC
 
 
 # ---------------------------------------------------------------------------
-# local projection and stiffness
+# local projection and stiffness, for a stack of m n-gons, (m, n, 2)
 # ---------------------------------------------------------------------------
 
-def projection_parts(p: Polygon):
-    """D (dof values of the scaled monomials), B (their boundary pairings),
-    G = B @ D and the projector Pi = G^-1 B onto {1, mx, my}."""
-    coords = p.coords
-    n = len(coords)
-    h = diameter(p)
-    xc, yc = coords.mean(axis=0)
-    D = np.column_stack(
-        [np.ones(n), (coords[:, 0] - xc) / h, (coords[:, 1] - yc) / h]
-    )
-    nxt = np.concatenate((coords[1:], coords[:1]))
-    prv = np.concatenate((coords[-1:], coords[:-1]))
+def _projection(xy: np.ndarray):
+    """D (dof values of the scaled monomials, (m, n, 3)), G = B @ D with B
+    their boundary pairings, the projector Pi = G^-1 B onto {1, mx, my}
+    ((m, 3, n)), the diameters h and the vertex means c of a stack of CCW
+    polygons."""
+    n = xy.shape[1]
+    h = diameters(xy)[:, None]
+    c = xy.mean(axis=1)
+    D = np.concatenate((np.ones(xy.shape[:2] + (1,)), (xy - c[:, None, :]) / h[:, :, None]), axis=2)
+    nxt = np.concatenate((xy[:, 1:], xy[:, :1]), axis=1)
+    prv = np.concatenate((xy[:, -1:], xy[:, :-1]), axis=1)
     # sum of the two incident outward normals times edge lengths, halved
-    d = 0.5 * np.column_stack([nxt[:, 1] - prv[:, 1], prv[:, 0] - nxt[:, 0]])
-    B = np.vstack([np.full(n, 1.0 / n), d[:, 0] / h, d[:, 1] / h])
+    dx, dy = 0.5 * (nxt[:, :, 1] - prv[:, :, 1]), 0.5 * (prv[:, :, 0] - nxt[:, :, 0])
+    B = np.stack((np.full(dx.shape, 1.0 / n), dx / h, dy / h), axis=1)
     G = B @ D
-    Pi = np.linalg.solve(G, B)
-    return D, B, G, Pi, h
+    return D, G, np.linalg.solve(G, B), h[:, 0], c
+
+
+def _stiffness(D: np.ndarray, G: np.ndarray, Pi: np.ndarray) -> np.ndarray:
+    """Symmetric PSD element matrices, exact on linears, kernel = constants."""
+    Gt = G.copy()
+    Gt[:, 0, :] = 0.0
+    stab = np.eye(D.shape[1]) - D @ Pi
+    K = Pi.swapaxes(1, 2) @ Gt @ Pi + stab.swapaxes(1, 2) @ stab
+    return 0.5 * (K + K.swapaxes(1, 2))
+
+
+def _fan_quadrature(xy: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature points (m, 6n, 2) and weights (m, 6n) from a signed fan
+    about each vertex mean c; exact to degree 4 for any simple polygon."""
+    a = xy
+    b = np.concatenate((a[:, 1:], a[:, :1]), axis=1)
+    cx, cy = c[:, None, 0], c[:, None, 1]
+    # signed triangle areas of (c, a_i, b_i)
+    s = 0.5 * ((a[:, :, 0] - cx) * (b[:, :, 1] - cy) - (b[:, :, 0] - cx) * (a[:, :, 1] - cy))
+    pts = _QB[:, 0:1] * c[:, None, None, :] + _QB[:, 1:2] * a[:, :, None, :] + _QB[:, 2:3] * b[:, :, None, :]
+    return pts.reshape(len(xy), -1, 2), (s[:, :, None] * _QW).reshape(len(xy), -1)
 
 
 def local_stiffness(p: Polygon) -> np.ndarray:
-    """Symmetric PSD element matrix, exact on linears, kernel = constants."""
-    D, _, G, Pi, _ = projection_parts(p)
-    Gt = G.copy()
-    Gt[0, :] = 0.0
-    n = len(D)
-    stab = np.eye(n) - D @ Pi
-    K = Pi.T @ Gt @ Pi + stab.T @ stab
-    return 0.5 * (K + K.T)
+    """The element matrix of one polygon."""
+    return _stiffness(*_projection(p.coords[None])[:3])[0]
 
 
 def polygon_quadrature(p: Polygon) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature points/weights from a signed fan about the vertex-average
-    centroid; exact to degree 4 for any simple polygon."""
-    c = centroid(p)
-    a = p.coords
-    b = np.concatenate((a[1:], a[:1]))
-    # signed triangle areas of (c, a_i, b_i)
-    s = 0.5 * ((a[:, 0] - c[0]) * (b[:, 1] - c[1]) - (b[:, 0] - c[0]) * (a[:, 1] - c[1]))
-    pts = (
-        _QB[None, :, 0:1] * c[None, None, :]
-        + _QB[None, :, 1:2] * a[:, None, :]
-        + _QB[None, :, 2:3] * b[:, None, :]
-    ).reshape(-1, 2)
-    wts = (s[:, None] * _QW[None, :]).reshape(-1)
-    return pts, wts
+    """Fan quadrature points (6n, 2) and weights (6n,) of one polygon."""
+    pts, wts = _fan_quadrature(p.coords[None], p.coords.mean(axis=0)[None])
+    return pts[0], wts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +179,30 @@ class LinearSystem:
 
 def assemble(mesh: PolyMesh, case: ManufacturedCase) -> LinearSystem:
     """Scatter local stiffness matrices; load by the element-average rule
-    f(centroid) * area / n per vertex; Dirichlet data from the exact
-    solution at boundary vertices."""
+    f(vertex mean) * area / n per vertex; Dirichlet data from the exact
+    solution at boundary vertices. The elements are computed one vertex-count
+    group at a time, but the COO triplets and load terms are laid out in
+    element order, so every sum adds its terms in element order."""
     nv = mesh.n_vertices
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(nv)
-    for i, loop in enumerate(mesh.elements):
-        p = mesh.polygon(i)
-        K = local_stiffness(p)
-        idx = np.asarray(loop)
-        ii, jj = np.meshgrid(idx, idx, indexing="ij")
-        rows.append(ii.ravel())
-        cols.append(jj.ravel())
-        vals.append(K.ravel())
-        cx, cy = centroid(p).tolist()
-        rhs[idx] += float(case.forcing(cx, cy)) * area(p) / len(loop)
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nv, nv),
-    )
-    bidx = np.asarray(sorted(mesh.boundary_vertices()), dtype=int)
-    bvals = np.asarray(
-        [float(case.exact(x, y)) for x, y in mesh.vertices[bidx]]
-    )
-    return LinearSystem(A, rhs, bidx, bvals)
+    sizes = np.fromiter(map(len, mesh.elements), np.intp, mesh.n_elements)
+    first_k, first_v = np.cumsum(sizes**2) - sizes**2, np.cumsum(sizes) - sizes
+    rows, cols = np.empty((2, int((sizes**2).sum())), np.intp)
+    vals = np.empty(len(rows))
+    dofs, load = np.empty(int(sizes.sum()), np.intp), np.empty(int(sizes.sum()))
+    for ids, loops in mesh.vertex_count_groups():
+        n = loops.shape[1]
+        xy = mesh.vertices[loops]
+        D, G, Pi, _, c = _projection(xy)
+        at = first_k[ids, None] + np.arange(n * n)
+        rows[at], cols[at] = np.repeat(loops, n, axis=1), np.tile(loops, n)
+        vals[at] = _stiffness(D, G, Pi).reshape(len(ids), -1)
+        at = first_v[ids, None] + np.arange(n)
+        dofs[at] = loops
+        load[at] = (case.forcing(c[:, 0], c[:, 1]) * signed_areas(xy) / n)[:, None]
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(nv, nv))
+    bidx = mesh.boundary_vertices()
+    x, y = mesh.vertices[bidx].T
+    return LinearSystem(A, np.bincount(dofs, load, nv), bidx, case.exact(x, y))
 
 
 def solve(system: LinearSystem) -> np.ndarray:
@@ -231,22 +235,18 @@ def solve(system: LinearSystem) -> np.ndarray:
 # error evaluation
 # ---------------------------------------------------------------------------
 
-def element_error_sq(p: Polygon, u_local: np.ndarray, case: ManufacturedCase) -> float:
-    """Squared L2 distance on the element between the projected discrete
-    gradient (a constant) and the exact gradient."""
-    _, _, _, Pi, h = projection_parts(p)
-    coef = Pi @ u_local
-    gx_h, gy_h = coef[1] / h, coef[2] / h
-    pts, wts = polygon_quadrature(p)
-    gx, gy = case.grad(pts[:, 0], pts[:, 1])
-    return float(np.sum(wts * ((gx_h - gx) ** 2 + (gy_h - gy) ** 2)))
-
-
 def local_errors(mesh: PolyMesh, u: np.ndarray, case: ManufacturedCase) -> np.ndarray:
-    """Per-element squared contributions to the broken H1-like error."""
+    """Per-element squared L2 distance between the projected discrete
+    gradient (a constant) and the exact gradient."""
     out = np.empty(mesh.n_elements)
-    for i, loop in enumerate(mesh.elements):
-        out[i] = element_error_sq(mesh.polygon(i), u[loop], case)
+    for ids, loops in mesh.vertex_count_groups():
+        xy = mesh.vertices[loops]
+        _, _, Pi, h, c = _projection(xy)
+        coef = (Pi @ u[loops][:, :, None])[:, :, 0]
+        gx_h, gy_h = coef[:, 1:2] / h[:, None], coef[:, 2:3] / h[:, None]
+        pts, wts = _fan_quadrature(xy, c)
+        gx, gy = case.grad(pts[:, :, 0], pts[:, :, 1])
+        out[ids] = np.sum(wts * ((gx_h - gx) ** 2 + (gy_h - gy) ** 2), axis=1)
     return out
 
 
