@@ -259,6 +259,35 @@ def test_mesh_validation_rejects_t_junctions(tmp_path):
     PolyMesh(fixed.vertices, fixed.elements[:2] + [[1, 6, 7, 4, 2]])
 
 
+_FAN = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)]
+_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "verts, loops, message",
+    [
+        (_SQUARE, [[0, 1, 2], [0, 1, 2]], "element 1: duplicated directed edge (0, 1)"),
+        # a third element on one edge repeats one of its two directions
+        (_FAN, [[0, 1, 2], [1, 0, 3], [0, 1, 4]], "element 2: duplicated directed edge (0, 1)"),
+        (_SQUARE, [[0, 1, 2], [0, 2]], "element 1: fewer than 3 vertices"),
+        (_SQUARE, [[0, 1, 2], [0, 2, 4]], "element 1: vertex index out of range"),
+        (_SQUARE, [[0, 1, 2, 1], [0, 2, 3]], "element 0: repeated vertex in loop"),
+        # faults in two elements: the earlier element is named
+        (_SQUARE, [[0, 1, 2], [0, 2], [0, 1, 2, 1]], "element 1: fewer than 3 vertices"),
+        (_SQUARE, [[0, 1, 2], [2, 3, 0], [2, 3, 0], [0, 1, 2]],
+         "element 2: duplicated directed edge (2, 3)"),
+        (_SQUARE, [[0, 1, 2], [0, 1, 2], [0, 2, 7]], "element 2: vertex index out of range"),
+        ([(0, 0), (1, 0), (1, 1), (0, 1), (1, 2), (0, 2), (2, 0), (2, 2), (-1, 0), (-1, 2)],
+         [[0, 1, 2, 3], [3, 2, 4, 5], [1, 6, 7, 4], [8, 0, 5, 9]],
+         "element 2: vertex 2 lies on edge (1,4) but not in the loop"),
+    ],
+)
+def test_mesh_validation_messages_are_pinned(verts, loops, message):
+    with pytest.raises(MeshError) as info:
+        PolyMesh(np.array(verts, dtype=float), loops)
+    assert str(info.value) == message
+
+
 def test_refine_pass_output_is_checked_for_t_junctions():
     with pytest.raises(MeshError, match="lies on edge .* but not in the loop"):
         refine_mesh(t_junction_mesh(validate=False), [0], Strategy.MP)
