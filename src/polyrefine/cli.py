@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import cnn, metrics, svgplot, vem
-from .geometry import diameter
+from .geometry import diameters
 from .mesh import (
     GRID_GENERATORS,
     load_mesh,
@@ -185,8 +185,7 @@ def cmd_refine(args) -> None:
     if args.steps < 1:
         raise SystemExit("--steps must be >= 1")
     for _ in range(args.steps):
-        diams = [diameter(p) for p in mesh.polygons()]
-        marks = mark_fixed_fraction(diams, r)
+        marks = mark_fixed_fraction(mesh.per_element(diameters), r)
         mesh = refine_mesh(mesh, marks, Strategy(args.strategy), classifier, args.rho)
     save_mesh(mesh, out / "mesh_refined.txt")
     svgplot.polygons_svg(

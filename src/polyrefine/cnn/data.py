@@ -127,12 +127,25 @@ def save_dataset(data, directory) -> None:
 
 
 def load_dataset(directory) -> list[LabeledImage]:
+    """The samples of a `save_dataset` directory. A labels.csv without rows,
+    or a row whose class_index is not a class of its n_classes or whose
+    n_classes differs from the first row's, raises ValueError naming its line."""
     directory = Path(directory)
     out = []
     with open(directory / "labels.csv", newline="") as f:
-        for row in csv.DictReader(f):
+        rows = csv.DictReader(f)
+        for row in rows:
+            where = f"labels.csv line {rows.line_num}"
+            try:
+                j, n = int(row.get("class_index")), int(row.get("n_classes"))
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: class_index and n_classes must be whole numbers") from None
+            if not 0 <= j < n:
+                raise ValueError(f"{where}: class_index {j} is not a class of n_classes {n}")
+            if out and n != len(out[0].onehot):
+                raise ValueError(f"{where}: n_classes {n}, but the first row has {len(out[0].onehot)}")
             img = BinaryImage.from_pgm(directory / row["filename"])
-            out.append(
-                LabeledImage(img, _one_hot(int(row["class_index"]), int(row["n_classes"])))
-            )
+            out.append(LabeledImage(img, _one_hot(j, n)))
+    if not out:
+        raise ValueError(f"labels.csv line {rows.line_num + 1}: no image rows")
     return out

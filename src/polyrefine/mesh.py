@@ -15,6 +15,12 @@ points inserted by elements processed earlier in the same pass (this is
 what makes midpoint refinement counts grow the way they do on conforming
 grids).
 
+A `PolyMesh` lays its loops out once, in a loop table: CSR `offsets` into
+the flat vertex ids `indices`, the vertex-count groups, and `edges`: each
+loop position's directed edge (a, b), its `element` and how many elements
+have that edge (`shared`). The conformity check, `h`, `total_area`,
+`boundary_vertices` and the VEM kernels read the table, not the loops.
+
 A refinement result names its children's vertices by index (see
 `refine`): even index 2i is vertex i of the element's loop, odd index
 2i + 1 is a new vertex that splits edge i in the neighbour still holding
@@ -35,9 +41,9 @@ from .geometry import (
     Polygon,
     PolygonError,
     _signed_area,
-    area,
     area_centroid,
     diameters,
+    signed_areas,
 )
 from .refine import RefinementResult, Strategy, refine_element
 
@@ -58,8 +64,40 @@ def _vertex_ids(eid: int, loop) -> list[int]:
     raise MeshError(f"element {eid}: vertex index {bad!r} is not an integer")
 
 
+def _vertex_array(vertices) -> np.ndarray:
+    """The vertices as an (n, 2) float64 array of finite coordinates."""
+    try:
+        v = np.asarray(vertices, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise MeshError(f"vertices are not an (n, 2) array of numbers: {e}") from None
+    if v.size == 0:
+        return v.reshape(0, 2)
+    if v.ndim != 2 or v.shape[1] != 2:
+        raise MeshError(f"vertices must be shaped (n, 2), not {v.shape}")
+    bad = ~np.isfinite(v).all(axis=1)
+    if bad.any():
+        raise MeshError(f"vertex {int(np.argmax(bad))}: non-finite coordinate")
+    return v
+
+
+def _loop_table(elements: list[list[int]], n_vertices: int):
+    """The loop table of `elements` (see the module docstring)."""
+    sizes = np.fromiter(map(len, elements), np.intp, len(elements))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    indices = np.fromiter(chain.from_iterable(elements), np.intp, int(offsets[-1]))
+    groups = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
+    groups = [(ids, indices[offsets[ids, None] + np.arange(sizes[ids[0]])]) for ids in groups]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    start = offsets[owner]
+    b = indices[start + (np.arange(len(indices)) - start + 1) % sizes[owner]]
+    keys = np.minimum(indices, b) * n_vertices + np.maximum(indices, b)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    edges = np.rec.fromarrays((indices, b, owner, counts[inverse]), names="a,b,element,shared")
+    return offsets, indices, groups, edges
+
+
 class PolyMesh:
-    """Vertices plus CCW vertex-index loops, one per element.
+    """Vertices plus CCW vertex-index loops, one per element, and their loop table.
 
     `validate=True` checks the loops (see `validate`), so `polygon(i)` can
     wrap them without checking them again. With `validate=False` the caller
@@ -67,8 +105,12 @@ class PolyMesh:
     """
 
     def __init__(self, vertices, elements, validate: bool = True):
-        self.vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 2)
+        self.vertices = _vertex_array(vertices)
         self.elements = [_vertex_ids(eid, loop) for eid, loop in enumerate(elements)]
+        try:
+            self.offsets, self.indices, self._groups, self.edges = _loop_table(self.elements, len(self.vertices))
+        except OverflowError:  # a vertex id beyond int64, which _check_loops names
+            self._check_loops()
         if validate:
             self.validate()
 
@@ -90,40 +132,26 @@ class PolyMesh:
         """For each vertex count n, in increasing order: the ids of the
         elements with n vertices (ascending) and their loops as a (G, n)
         index array, so `vertices[loops]` is a (G, n, 2) coordinate stack."""
-        sizes = np.fromiter(map(len, self.elements), np.intp, self.n_elements)
-        flat = np.fromiter(chain.from_iterable(self.elements), np.intp, int(sizes.sum()))
-        start = np.cumsum(sizes) - sizes
-        groups = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
-        return [(ids, flat[start[ids, None] + np.arange(sizes[ids[0]])]) for ids in groups]
+        return self._groups
+
+    def per_element(self, kernel) -> np.ndarray:
+        """`kernel` (such as `diameters`) of each group's (G, n, 2) stack, in element order."""
+        out = np.empty(self.n_elements)
+        for ids, loops in self._groups:
+            out[ids] = kernel(self.vertices[loops])
+        return out
 
     @property
     def h(self) -> float:
-        groups = self.vertex_count_groups()
-        return max(float(diameters(self.vertices[loops]).max()) for _, loops in groups)
+        return float(self.per_element(diameters).max())
 
     def total_area(self) -> float:
-        return sum(area(p) for p in self.polygons())
-
-    def edge_incidence(self) -> dict[tuple[int, int], list[int]]:
-        """Undirected edge -> incident element ids."""
-        inc: dict[tuple[int, int], list[int]] = {}
-        for eid, loop in enumerate(self.elements):
-            for k in range(len(loop)):
-                a, b = loop[k], loop[(k + 1) % len(loop)]
-                inc.setdefault((min(a, b), max(a, b)), []).append(eid)
-        return inc
+        return sum(self.per_element(signed_areas).tolist())
 
     def boundary_vertices(self) -> np.ndarray:
         """Sorted ids of the vertices on an edge of exactly one element."""
-        nv = self.n_vertices
-        edges = np.concatenate([
-            np.stack((loops, np.roll(loops, -1, axis=1)), axis=-1).reshape(-1, 2)
-            for _, loops in self.vertex_count_groups()
-        ])
-        edges.sort(axis=1)
-        keys, counts = np.unique(edges[:, 0] * nv + edges[:, 1], return_counts=True)
-        single = keys[counts == 1]
-        return np.unique(np.concatenate((single // nv, single % nv)))
+        single = self.edges[self.edges["shared"] == 1]
+        return np.unique(np.concatenate((single["a"], single["b"])))
 
     def validate(self) -> None:
         """Raise MeshError naming the element unless both checks below pass."""
@@ -150,30 +178,29 @@ class PolyMesh:
                 raise MeshError(f"element {eid}: clockwise loop")
 
     def _check_conformity(self) -> None:
-        """How the loops meet: each directed edge once, each edge in at most
-        two elements, no vertex strictly inside another element's edge."""
-        directed: set[tuple[int, int]] = set()
-        for eid, loop in enumerate(self.elements):
-            for e in zip(loop, loop[1:] + loop[:1]):
-                if e in directed:
-                    raise MeshError(f"element {eid}: duplicated directed edge {e}")
-                directed.add(e)
-        inc = self.edge_incidence()
-        for (a, b), elems in inc.items():
-            if len(elems) > 2:
-                raise MeshError(f"edge ({a},{b}) shared by {len(elems)} elements")
+        """How the loops meet: each directed edge once (so, as no loop
+        repeats a vertex, no edge is in more than two elements), and no
+        vertex strictly inside another element's edge."""
+        e = self.edges
+        keys = e["a"] * self.n_vertices + e["b"]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        dup = np.flatnonzero(first[inverse] != np.arange(len(e)))
+        if len(dup):
+            a, b, eid, _ = e[dup[0]].tolist()
+            raise MeshError(f"element {eid}: duplicated directed edge {(a, b)}")
         # A T-junction leaves the edge that holds the vertex, and the edges
         # that meet at the vertex along it, with one incident element each:
         # scan only single-incidence edges, against their endpoints.
-        single = [(key, elems[0]) for key, elems in inc.items() if len(elems) == 1]
+        single = e[e["shared"] == 1].tolist()
         if not single:
             return
         v = self.vertices
         tol = 1e-9 * float(np.hypot(*np.ptp(v, axis=0)))
-        ends = np.unique([key for key, _ in single])
+        ends = self.boundary_vertices()
         ends = ends[np.argsort(v[ends, 0], kind="stable")]
         xs = v[ends, 0]
-        for (a, b), eid in single:
+        for a, b, eid, _ in single:
+            a, b = min(a, b), max(a, b)
             (xa, ya), (xb, yb) = v[a], v[b]
             lo = np.searchsorted(xs, min(xa, xb) - tol, "left")
             hi = np.searchsorted(xs, max(xa, xb) + tol, "right")
@@ -246,18 +273,14 @@ class _WorkingMesh:
         return (a, b) if a < b else (b, a)
 
     def _add_edges(self, eid: int, loop: list[int]) -> None:
-        for k in range(len(loop)):
-            key = self._edge_key(loop[k], loop[(k + 1) % len(loop)])
-            self.edge_map.setdefault(key, set()).add(eid)
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            self.edge_map.setdefault(self._edge_key(a, b), set()).add(eid)
 
     def _remove_edges(self, eid: int, loop: list[int]) -> None:
-        for k in range(len(loop)):
-            key = self._edge_key(loop[k], loop[(k + 1) % len(loop)])
-            elems = self.edge_map.get(key)
-            if elems is None:
-                continue
-            elems.discard(eid)
-            if not elems:
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            key = self._edge_key(a, b)
+            self.edge_map[key].discard(eid)
+            if not self.edge_map[key]:
                 del self.edge_map[key]
 
     # -- element replacement -------------------------------------------------
@@ -295,9 +318,7 @@ class _WorkingMesh:
         a, b = key
         for eid in elems:
             loop = self.loops[eid]
-            n = len(loop)
-            for k in range(n):
-                u, w = loop[k], loop[(k + 1) % n]
+            for k, (u, w) in enumerate(zip(loop, loop[1:] + loop[:1])):
                 if (u, w) in ((a, b), (b, a)):
                     loop.insert(k + 1, vid)
                     break

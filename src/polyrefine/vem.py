@@ -183,12 +183,10 @@ def assemble(mesh: PolyMesh, case: ManufacturedCase) -> LinearSystem:
     solution at boundary vertices. The elements are computed one vertex-count
     group at a time, but the COO triplets and load terms are laid out in
     element order, so every sum adds its terms in element order."""
-    nv = mesh.n_vertices
-    sizes = np.fromiter(map(len, mesh.elements), np.intp, mesh.n_elements)
-    first_k, first_v = np.cumsum(sizes**2) - sizes**2, np.cumsum(sizes) - sizes
-    rows, cols = np.empty((2, int((sizes**2).sum())), np.intp)
-    vals = np.empty(len(rows))
-    dofs, load = np.empty(int(sizes.sum()), np.intp), np.empty(int(sizes.sum()))
+    sq = np.diff(mesh.offsets) ** 2
+    first_k = np.cumsum(sq) - sq  # where each element's n * n COO triplets start
+    rows, cols = np.empty((2, int(sq.sum())), np.intp)
+    vals, load = np.empty(len(rows)), np.empty(len(mesh.indices))
     for ids, loops in mesh.vertex_count_groups():
         n = loops.shape[1]
         xy = mesh.vertices[loops]
@@ -196,13 +194,12 @@ def assemble(mesh: PolyMesh, case: ManufacturedCase) -> LinearSystem:
         at = first_k[ids, None] + np.arange(n * n)
         rows[at], cols[at] = np.repeat(loops, n, axis=1), np.tile(loops, n)
         vals[at] = _stiffness(D, G, Pi).reshape(len(ids), -1)
-        at = first_v[ids, None] + np.arange(n)
-        dofs[at] = loops
+        at = mesh.offsets[ids, None] + np.arange(n)
         load[at] = (case.forcing(c[:, 0], c[:, 1]) * signed_areas(xy) / n)[:, None]
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(nv, nv))
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_vertices,) * 2)
     bidx = mesh.boundary_vertices()
     x, y = mesh.vertices[bidx].T
-    return LinearSystem(A, np.bincount(dofs, load, nv), bidx, case.exact(x, y))
+    return LinearSystem(A, np.bincount(mesh.indices, load, mesh.n_vertices), bidx, case.exact(x, y))
 
 
 def solve(system: LinearSystem) -> np.ndarray:

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,34 @@ def with_aligned_vertex(p: Polygon, edge: int = 0, t: float = 0.5) -> Polygon:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def edge_incidence(elements) -> dict[tuple[int, int], list[int]]:
+    """Undirected edge -> incident element ids, walking the loops one by one:
+    the reference that `PolyMesh.edges` is checked against."""
+    inc: dict[tuple[int, int], list[int]] = {}
+    for eid, loop in enumerate(elements):
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            inc.setdefault((min(a, b), max(a, b)), []).append(eid)
+    return inc
+
+
+def assert_loop_table_matches_loops(mesh):
+    """The loop table of `mesh` equals the layout derived loop by loop."""
+    loops = mesh.elements
+    sizes = [len(loop) for loop in loops]
+    assert mesh.offsets.tolist() == [0, *accumulate(sizes)]
+    assert mesh.indices.tolist() == [v for loop in loops for v in loop]
+    groups = mesh.vertex_count_groups()
+    assert [g.shape[1] for _, g in groups] == sorted(set(sizes))
+    for ids, g in groups:
+        assert ids.tolist() == [e for e, n in enumerate(sizes) if n == g.shape[1]]
+        assert g.tolist() == [loops[e] for e in ids]
+    inc = edge_incidence(loops)
+    assert mesh.edges.tolist() == [
+        (a, b, e, len(inc[min(a, b), max(a, b)]))
+        for e, loop in enumerate(loops)
+        for a, b in zip(loop, loop[1:] + loop[:1])
+    ]
+    single = {v for key, elems in inc.items() if len(elems) == 1 for v in key}
+    assert mesh.boundary_vertices().tolist() == sorted(single)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polyrefine.cnn import load_model, save_model
+from polyrefine.cnn import generate_dataset, load_dataset, load_model, save_dataset, save_model
 from polyrefine.cnn.layers import BatchNormLayer, ConvLayer, DenseLayer, MaxPoolLayer, ReLULayer
 from polyrefine.cnn.network import Network
 from polyrefine.geometry import regular_polygon
@@ -259,3 +259,27 @@ def test_non_utf8_pgm_names_the_byte(tmp_path):
     path.write_bytes(b"P1\n64 64\n\xff")
     with pytest.raises(ValueError, match="^byte 9: not UTF-8 text"):
         BinaryImage.from_pgm(path)
+
+
+_LABELS = "filename,class_index,label,n_classes\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "^labels.csv line 2: no image rows$"),
+        (["shape_000000.pgm,7,10,3"], "^labels.csv line 2: class_index 7 is not a class of n_classes 3$"),
+        (["shape_000000.pgm,0,3,2", "shape_000001.pgm,1,4,3"],
+         "^labels.csv line 3: n_classes 3, but the first row has 2$"),
+        (["shape_000000.pgm,0,3,2", "shape_000001.pgm,x,4,2"],
+         "^labels.csv line 3: class_index and n_classes must be whole numbers$"),
+        (["shape_000000.pgm,0"], "^labels.csv line 2: class_index and n_classes must be whole numbers$"),
+    ],
+)
+def test_malformed_labels_csv_names_the_line(tmp_path, rows, message):
+    save_dataset(generate_dataset(2, 1, seed=0), tmp_path)
+    assert [s.class_index for s in load_dataset(tmp_path)] == [0, 1]  # the unbroken index loads
+    (tmp_path / "labels.csv").write_text(_LABELS + "".join(r + "\n" for r in rows))
+    with pytest.raises(ValueError, match=message) as info:
+        load_dataset(tmp_path)
+    assert type(info.value) is ValueError

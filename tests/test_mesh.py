@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assert_loop_table_matches_loops, edge_incidence
 
 from polyrefine import geometry
 from polyrefine.geometry import PolygonError, is_convex
@@ -31,7 +32,7 @@ def assert_conforming(mesh, unit_square=False):
     """Every edge has 1 or 2 incident elements; on unit-square meshes the
     single-incidence edges must lie on the domain boundary (an interior edge
     with one element would mean a missed hanging-node insertion)."""
-    for (a, b), elems in mesh.edge_incidence().items():
+    for (a, b), elems in edge_incidence(mesh.elements).items():
         assert len(elems) in (1, 2), (a, b, elems)
         if unit_square and len(elems) == 1:
             for v in (a, b):
@@ -85,11 +86,58 @@ def test_generators_registry():
         m = gen(seed=1)
         assert m.total_area() == pytest.approx(1.0, rel=1e-8)
         # boundary edges lie on the unit-square boundary
-        for (a, b), elems in m.edge_incidence().items():
+        for (a, b), elems in edge_incidence(m.elements).items():
             if len(elems) == 1:
                 for v in (a, b):
                     x, y = m.vertices[v]
                     assert min(abs(x), abs(x - 1), abs(y), abs(y - 1)) < 1e-9, name
+
+
+TABLE_MESHES = [f"{g}{p}" for g in sorted(GRID_GENERATORS) for p in ("", "+mp", "+cnn-rp")]
+
+
+@pytest.mark.parametrize("name", TABLE_MESHES)
+def test_loop_table_matches_the_loops(name):
+    grid, _, strategy = name.partition("+")
+    m = GRID_GENERATORS[grid]()
+    if strategy:
+        m = refine_mesh(m, range(m.n_elements), strategy, corner_label)
+    assert_loop_table_matches_loops(m)
+    # the grouped per-element values are those of each polygon, bit for bit
+    polys = m.polygons()
+    assert m.per_element(geometry.diameters).tolist() == [geometry.diameter(p) for p in polys]
+    assert m.h == max(geometry.diameter(p) for p in polys)
+    assert m.total_area() == sum(geometry.area(p) for p in polys)
+
+
+@pytest.mark.parametrize(
+    "verts, message",
+    [
+        (np.array([[0, 0, 9], [1, 0, 9], [1, 1, 9], [0, 1, 9]], float),
+         r"^vertices must be shaped \(n, 2\), not \(4, 3\)$"),
+        ([0, 0, 1, 0, 1, 1], r"^vertices must be shaped \(n, 2\), not \(6,\)$"),
+        ([(0, 0), (1, 0), (1, 1), (np.nan, np.inf)], "^vertex 3: non-finite coordinate$"),
+        ([(0, 0), (1, 0), (1, -np.inf)], "^vertex 2: non-finite coordinate$"),
+        ([(0, 0), (1,), (1, 1)], "^vertices are not an \\(n, 2\\) array of numbers"),
+    ],
+)
+def test_mesh_rejects_vertices_not_shaped_n_by_2_or_not_finite(verts, message):
+    with pytest.raises(MeshError, match=message):
+        PolyMesh(verts, [[0, 1, 2]])
+
+
+def test_mesh_names_the_element_of_a_vertex_id_beyond_int64(tmp_path):
+    path = tmp_path / "mesh.txt"
+    path.write_text("POLYMESH 1\n3 2\n0 0\n1 0\n0 1\n3 0 1 2\n3 0 1 99999999999999999999\n")
+    with pytest.raises(MeshError, match="^element 1: vertex index out of range$"):
+        load_mesh(path)
+
+
+def test_empty_mesh_has_n_by_2_vertices():
+    for verts in ([], np.empty(0), np.empty((0, 2))):
+        m = PolyMesh(verts, [])
+        assert m.vertices.shape == (0, 2)
+        assert m.n_elements == 0 and m.offsets.tolist() == [0] and len(m.edges) == 0
 
 
 # ---------------------------------------------------------------------------

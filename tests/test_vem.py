@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import assert_loop_table_matches_loops, edge_incidence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrefine import geometry, vem
+from polyrefine import geometry, mesh as mesh_module, vem
 from polyrefine.geometry import Polygon, area
 from polyrefine.mesh import (
     GRID_GENERATORS,
@@ -290,7 +291,7 @@ def _ref_system(mesh, case):
     A = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nv, nv)
     )
-    single = [e for e, elems in mesh.edge_incidence().items() if len(elems) == 1]
+    single = [e for e, elems in edge_incidence(mesh.elements).items() if len(elems) == 1]
     bidx = np.array(sorted({v for e in single for v in e}))
     bvals = np.array([float(case.exact(x, y)) for x, y in mesh.vertices[bidx]])
     return A, rhs, bidx, bvals
@@ -346,4 +347,19 @@ def test_grouped_kernels_match_on_mixed_star_polygons(draws):
     sizes = [len(p.coords) for p in polys]
     starts = np.cumsum([0] + sizes)
     mesh = PolyMesh(vertices, [list(range(s, s + n)) for s, n in zip(starts, sizes)])
+    assert_loop_table_matches_loops(mesh)
     _assert_matches_reference(mesh)
+
+
+def test_a_study_step_groups_each_mesh_once(monkeypatch):
+    """The loop table, vertex-count groups included, is built once per mesh:
+    assemble, the boundary vertices, the local errors and h all read it."""
+    built = []
+    loop_table = mesh_module._loop_table
+    monkeypatch.setattr(mesh_module, "_loop_table", lambda *a: built.append(a[0]) or loop_table(*a))
+    m = generate_triangle_grid(4)
+    assert m.vertex_count_groups() is m.vertex_count_groups()  # stored, not derived again
+    rec = vem.convergence_study(m, Strategy.MP, None, 0.3, 3, vem.sine_case())
+    assert len(rec.dofs) == 4
+    # the initial grid and the mesh of each refinement pass, each once
+    assert len(built) == 4 and len({id(loops) for loops in built}) == 4
