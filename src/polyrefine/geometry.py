@@ -4,7 +4,8 @@ A point is a row of a float64 (k, 2) array. Vertex loops are stored
 counter-clockwise; clockwise input is reversed on construction. Aligned
 (collinear) vertices are legal and preserved, since meshes with hanging
 nodes rely on them. `Polygon(...)` checks its input; `Polygon.trusted(...)`
-wraps coordinates derived from checked geometry.
+wraps coordinates derived from checked geometry. Measures are kernels over
+(..., n, 2) loop stacks; a one-polygon function is their one-row case.
 """
 from __future__ import annotations
 
@@ -22,10 +23,14 @@ class PolygonError(ValueError):
     """Vertex loop does not describe a valid simple polygon."""
 
 
+def _next(coords: np.ndarray) -> np.ndarray:
+    """Vertex i + 1 of each loop in row i of a (..., n, 2) stack."""
+    return np.concatenate((coords[..., 1:, :], coords[..., :1, :]), axis=-2)
+
+
 def signed_areas(coords: np.ndarray) -> np.ndarray:
     """Shoelace signed area of each loop in a (..., n, 2) stack."""
-    x, y = coords[..., 0], coords[..., 1]
-    nxt = np.concatenate((coords[..., 1:, :], coords[..., :1, :]), axis=-2)
+    x, y, nxt = coords[..., 0], coords[..., 1], _next(coords)
     return 0.5 * (x * nxt[..., 1] - nxt[..., 0] * y).sum(-1)
 
 
@@ -159,10 +164,6 @@ def area(p: Polygon) -> float:
     return _signed_area(p.coords)
 
 
-def perimeter(p: Polygon) -> float:
-    return float(np.sum(edge_lengths(p)))
-
-
 def diameters(coords: np.ndarray) -> np.ndarray:
     """Max pairwise vertex distance of each loop in a (..., n, 2) stack
     (attained at vertices for a polygon)."""
@@ -174,48 +175,53 @@ def diameter(p: Polygon) -> float:
     return float(diameters(p.coords))
 
 
-def edge_lengths(p: Polygon) -> np.ndarray:
-    return np.hypot(*(np.concatenate((p.coords[1:], p.coords[:1])) - p.coords).T)
+def edge_lengths(coords: np.ndarray) -> np.ndarray:
+    """Length of edge i (vertex i to i + 1) of each loop in a (..., n, 2) stack."""
+    d = _next(coords) - coords
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def edge_midpoints(p: Polygon) -> np.ndarray:
     """Midpoint of edge i (from vertex i to vertex i + 1) in row i."""
-    return 0.5 * (p.coords + np.concatenate((p.coords[1:], p.coords[:1])))
+    return 0.5 * (p.coords + _next(p.coords))
 
 
 def geom_tol(p: Polygon) -> float:
     return REL_TOL * diameter(p)
 
 
+def boundary_distances(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Min distance from each point of a (..., m, 2) stack to the boundary of
+    the matching loop of a (..., n, 2) stack, shaped (..., m)."""
+    a = coords[..., None, :, :]  # (..., 1, n, 2)
+    ab = _next(coords)[..., None, :, :] - a
+    ap = pts[..., :, None, :] - a  # (..., m, n, 2)
+    t = np.clip((ap * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)
+    d = pts[..., :, None, :] - (a + t[..., None] * ab)
+    return np.hypot(d[..., 0], d[..., 1]).min(axis=-1)
+
+
+def odd_crossings(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """A rightward ray from each point of a (..., m, 2) stack crosses the
+    matching loop of a (..., n, 2) stack an odd number of times: (..., m)."""
+    a, b = coords[..., None, :, :], _next(coords)[..., None, :, :]
+    x, y = pts[..., 0:1], pts[..., 1:2]  # (..., m, 1)
+    x1, y1, x2, y2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]  # (..., 1, n)
+    straddle = (y1 <= y) != (y2 <= y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+    return ((straddle & (xcross > x)).sum(axis=-1) % 2) == 1
+
+
 def distance_to_boundary(p: Polygon, pts: np.ndarray) -> np.ndarray:
     """Min distance from each point (m, 2) to the polygon boundary."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    a = p.coords
-    b = np.concatenate((a[1:], a[:1]))
-    ab = b - a  # (n, 2)
-    ab2 = (ab * ab).sum(axis=1)  # (n,)
-    ap = pts[:, None, :] - a[None, :, :]  # (m, n, 2)
-    t = np.clip((ap * ab[None, :, :]).sum(axis=2) / ab2[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d = np.hypot(*(pts[:, None, :] - proj).transpose(2, 0, 1))
-    return d.min(axis=1)
+    return boundary_distances(p.coords, np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 def contains_many(p: Polygon, pts: np.ndarray, tol: float) -> np.ndarray:
     """Ray-crossing containment for points (m, 2); within tol of the boundary is inside."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    a = p.coords
-    b = np.concatenate((a[1:], a[:1]))
-    x, y = pts[:, 0:1], pts[:, 1:2]  # (m, 1)
-    y1, y2 = a[None, :, 1], b[None, :, 1]
-    x1, x2 = a[None, :, 0], b[None, :, 0]
-    straddle = (y1 <= y) != (y2 <= y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    hits = straddle & (xcross > x)
-    inside = (hits.sum(axis=1) % 2) == 1
-    near = distance_to_boundary(p, pts) <= tol
-    return inside | near
+    return odd_crossings(p.coords, pts) | (boundary_distances(p.coords, pts) <= tol)
 
 
 def strictly_inside(p: Polygon, q, margin: float | None = None) -> bool:
@@ -223,107 +229,112 @@ def strictly_inside(p: Polygon, q, margin: float | None = None) -> bool:
     if margin is None:
         margin = geom_tol(p)
     pt = np.asarray([[q[0], q[1]]], dtype=float)
-    if distance_to_boundary(p, pt)[0] <= margin:
-        return False
-    return bool(contains_many(p, pt, tol=0.0)[0])
+    return bool(distance_to_boundary(p, pt)[0] > margin and contains_many(p, pt, tol=0.0)[0])
 
 
-def interior_angles(p: Polygon) -> np.ndarray:
-    """Interior angle at each vertex, in (0, 2*pi); aligned vertices give pi."""
-    prev = np.concatenate((p.coords[-1:], p.coords[:-1]))
-    nxt = np.concatenate((p.coords[1:], p.coords[:1]))
-    u = p.coords - prev  # incoming edge direction
-    v = nxt - p.coords  # outgoing edge direction
-    turn = np.arctan2(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0], (u * v).sum(axis=1))
-    return np.pi - turn
-
-
-def min_inner_angle(p: Polygon) -> float:
-    return float(interior_angles(p).min())
+def interior_angles(coords: np.ndarray) -> np.ndarray:
+    """Interior angle at each vertex of each loop in a (..., n, 2) stack, in
+    (0, 2*pi); aligned vertices give pi."""
+    u = coords - np.concatenate((coords[..., -1:, :], coords[..., :-1, :]), axis=-2)  # incoming edge
+    v = _next(coords) - coords  # outgoing edge direction
+    return np.pi - np.arctan2(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0], (u * v).sum(axis=-1))
 
 
 def corner_count(p: Polygon, angle_tol: float = 1e-6) -> int:
     """Number of vertices whose interior angle differs from pi (true corners)."""
-    return int(np.sum(np.abs(interior_angles(p) - np.pi) > angle_tol))
+    return int(np.sum(np.abs(interior_angles(p.coords) - np.pi) > angle_tol))
 
 
-def is_convex(p: Polygon) -> bool:
-    """All turns are left turns up to tolerance; aligned vertices are fine."""
-    prev = np.concatenate((p.coords[-1:], p.coords[:-1]))
-    nxt = np.concatenate((p.coords[1:], p.coords[:1]))
-    u = p.coords - prev
-    v = nxt - p.coords
-    cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-    lens = np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1])
-    return bool(np.all(cross >= -REL_TOL * diameter(p) * np.sqrt(lens + 1e-300)))
+def _solve(system: np.ndarray, rhs: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Stacked 3x3 solves; a system outside `ok` gives NaN."""
+    system[~ok] = np.eye(3)
+    x = np.linalg.solve(system, rhs[..., None])[..., 0]
+    x[~ok] = np.nan
+    return x
 
 
 def _equidistant_centres(c: np.ndarray, b: np.ndarray, m: int, tri: np.ndarray) -> np.ndarray:
     """Points (x, y, r) that satisfy the three feature equations of each triple.
 
+    Row g of c (G, f, 3) and b (G, f) holds the features of loop g; the
+    triples tri (t, 3) are shared, and the result is (G, t' <= 2t, 3).
     Feature f reads s_f * (|x|^2 - r^2) + c_f . (x, y, r) = b_f: m lines
     (s = 0), then points (s = 1). Three lines are one linear solve. Else the
     last feature is a point; subtracting its equation from the other two
     leaves two planes, whose line of intersection p0 + t * d meets it at the
-    roots of a quadratic in t. Near-singular triples are skipped.
+    roots of a quadratic in t. Near-singular triples give NaN.
     """
     lin, quad = tri[tri[:, 2] < m], tri[tri[:, 2] >= m]
-    lin = lin[np.abs(np.linalg.det(c[lin])) > 1e-12]  # parallel lines: no centre
-    out = [np.linalg.solve(c[lin], b[lin][:, :, None])[:, :, 0]]
-    if len(quad):
-        k, ij = quad[:, 2], quad[:, :2]
-        rows, beta = c[ij] - (ij >= m)[:, :, None] * c[k][:, None, :], b[ij] - (ij >= m) * b[k][:, None]
-        d = np.cross(rows[:, 0], rows[:, 1])
-        ok = (d * d).sum(axis=1) > 1e-24 * (rows * rows).sum(axis=2).prod(axis=1)
-        rows, beta, d, k = rows[ok], beta[ok], d[ok], k[ok]
-        system = np.concatenate([rows, d[:, None, :]], axis=1)  # det = |d|^2
-        p0 = np.linalg.solve(system, np.column_stack([beta, np.zeros(len(d))])[:, :, None])[:, :, 0]
-        sig = np.array([1.0, 1.0, -1.0])  # |x|^2 - r^2
-        qa = (sig * d * d).sum(axis=1)
-        qb = 2.0 * (sig * p0 * d).sum(axis=1) + (c[k] * d).sum(axis=1)
-        qc = (sig * p0 * p0).sum(axis=1) + (c[k] * p0).sum(axis=1) - b[k]
-        q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out += [p0 + t[:, None] * d for t in (q / qa, qc / q)]
-    return np.vstack(out)
+    system = c[:, lin]  # parallel lines: no centre
+    out = [_solve(system, b[:, lin], np.abs(np.linalg.det(system)) > 1e-12)]
+    if not len(quad):
+        return out[0]
+    k, ij = quad[:, 2], quad[:, :2]
+    ck, bk = c[:, k], b[:, k]
+    rows, beta = c[:, ij] - (ij >= m)[:, :, None] * ck[:, :, None, :], b[:, ij] - (ij >= m) * bk[..., None]
+    d = np.cross(rows[..., 0, :], rows[..., 1, :])
+    ok = (d * d).sum(axis=-1) > 1e-24 * (rows * rows).sum(axis=-1).prod(axis=-1)
+    system = np.concatenate([rows, d[..., None, :]], axis=-2)  # det = |d|^2
+    p0 = _solve(system, np.concatenate([beta, np.zeros_like(bk)[..., None]], axis=-1), ok)
+    sig = np.array([1.0, 1.0, -1.0])  # |x|^2 - r^2
+    qa = (sig * d * d).sum(axis=-1)
+    qb = 2.0 * (sig * p0 * d).sum(axis=-1) + (ck * d).sum(axis=-1)
+    qc = (sig * p0 * p0).sum(axis=-1) + (ck * p0).sum(axis=-1) - bk
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+    return np.concatenate(out + [p0 + t[..., None] * d for t in (q / qa, qc / q)], axis=-2)
 
 
-def inscribed_radius(p: Polygon) -> float:
-    """Radius of the largest inscribed circle, exact up to rounding.
+def inscribed_radii(coords: np.ndarray) -> np.ndarray:
+    """Radius of the largest inscribed circle of each loop in a (G, n, 2)
+    stack, exact up to rounding.
 
     The features are the supporting lines of the edges and the reflex
     vertices. The distance to the boundary peaks at a vertex of the medial
     axis, which is equidistant from three features, so the candidates are
     the equidistant centres of every triple of features. The result is the
-    largest boundary distance of a candidate inside the polygon: a true
+    largest boundary distance of a candidate inside the loop: a true
     boundary distance, hence never above the exact radius. Computed in a
     frame centred on the vertex mean and scaled by the diameter; the cost
-    grows as the cube of the vertex count.
+    grows as the cube of the vertex count. Loops with the same numbers of
+    corner lines and reflex vertices share one triple list, solved and
+    tested as stacked (loops, candidates, n) arrays in chunks of at most
+    2**18 // n (loop, triple) pairs.
     """
-    scale = diameter(p)
-    a = (p.coords - p.coords.mean(axis=0)) / scale
-    u = np.concatenate((a[1:], a[:1])) - a
-    u /= np.hypot(u[:, 0], u[:, 1])[:, None]  # unit edge directions
-    up = np.concatenate((u[-1:], u[:-1]))
-    sine = up[:, 0] * u[:, 1] - up[:, 1] * u[:, 0]  # turn at each vertex
-    corner = np.abs(sine) > 1e-12  # collinear edges (an aligned vertex) share one line
-    normal = np.column_stack([-u[corner, 1], u[corner, 0]])
-    reflex = a[sine < -1e-12]
-    m = len(normal)
-    # lines n . x - r = n . a_i (inward unit n), points |x - v|^2 = r^2
-    c = np.zeros((m + len(reflex), 3))
-    c[:m, :2], c[:m, 2], c[m:, :2] = normal, -1.0, -2.0 * reflex
-    b = np.concatenate([(normal * a[corner]).sum(axis=1), -(reflex * reflex).sum(axis=1)])
-    tri = np.array(list(itertools.combinations(range(len(b)), 3)), dtype=np.intp).reshape(-1, 3)
-    local = Polygon.trusted(a)  # an affine image of p
-    best, step = 0.0, 1 + 2**18 // len(a)  # bounds the (candidates, edges) arrays
-    for start in range(0, len(tri), step):
-        x = _equidistant_centres(c, b, m, tri[start : start + step])
-        # finite candidates within the diameter of the vertex mean
-        x = x[np.isfinite(x).all(axis=1) & (x[:, 0] ** 2 + x[:, 1] ** 2 <= 1.0), :2]
-        d = distance_to_boundary(local, x[contains_many(local, x, tol=0.0)])
-        best = max(best, float(d.max(initial=0.0)))
+    scale = diameters(coords)
+    a = (coords - coords.mean(axis=-2, keepdims=True)) / scale[:, None, None]
+    u = _next(a) - a
+    u /= np.hypot(u[..., 0], u[..., 1])[..., None]  # unit edge directions
+    up = np.concatenate((u[:, -1:], u[:, :-1]), axis=1)
+    sine = up[..., 0] * u[..., 1] - up[..., 1] * u[..., 0]  # turn at each vertex
+    corner, reflex = np.abs(sine) > 1e-12, sine < -1e-12  # collinear edges (an aligned vertex) share one line
+    n_corner, n_reflex = corner.sum(1), reflex.sum(1)
+    best, step = np.zeros(len(a)), 1 + 2**18 // a.shape[1]  # bounds the (loops, candidates, n) arrays
+    for m, r in sorted(set(zip(n_corner.tolist(), n_reflex.tolist()))):
+        rows = np.flatnonzero((n_corner == m) & (n_reflex == r))
+        edge = u[rows][corner[rows]].reshape(len(rows), m, 2)
+        normal = np.stack([-edge[..., 1], edge[..., 0]], axis=-1)
+        pts = a[rows][reflex[rows]].reshape(len(rows), r, 2)
+        # lines n . x - r = n . a_i (inward unit n), points |x - v|^2 = r^2
+        c = np.zeros((len(rows), m + r, 3))
+        c[:, :m, :2], c[:, :m, 2], c[:, m:, :2] = normal, -1.0, -2.0 * pts
+        b = np.concatenate([(normal * a[rows][corner[rows]].reshape(len(rows), m, 2)).sum(-1), -(pts * pts).sum(-1)], axis=1)
+        tri = np.array(list(itertools.combinations(range(m + r), 3)), dtype=np.intp)
+        n_rows = max(1, step // len(tri))  # a loop with more than `step` triples is split
+        for i, j in itertools.product(range(0, len(rows), n_rows), range(0, len(tri), step)):
+            loops = rows[i : i + n_rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = _equidistant_centres(c[i : i + n_rows], b[i : i + n_rows], m, tri[j : j + step])
+                # finite candidates within the diameter of the vertex mean, inside the loop
+                ok = np.isfinite(x).all(axis=-1) & (x[..., 0] ** 2 + x[..., 1] ** 2 <= 1.0)
+                d = boundary_distances(a[loops], x[..., :2])
+                inside = ok & (odd_crossings(a[loops], x[..., :2]) | (d <= 0.0))
+            best[loops] = np.maximum(best[loops], np.where(inside, d, 0.0).max(axis=-1))
     return scale * best
+
+
+def inscribed_radius(p: Polygon) -> float:
+    """`inscribed_radii` of one polygon."""
+    return float(inscribed_radii(p.coords[None])[0])
 
 
 def regular_polygon(n: int, radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> Polygon:

@@ -3,74 +3,67 @@
 All six metrics are scale independent and take values in [0, 1]. The
 inscribed radius is exact; the circumscribed radius is approximated by half
 the element diameter, in the circle ratio and the normalized point distance.
+`quality_report` groups the elements by vertex count and evaluates each
+metric with one call per group on the (G, n, 2) coordinate stack; the
+one-polygon functions read the one-row case of the same kernel.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .geometry import (
-    Polygon,
-    area,
-    diameter,
-    edge_lengths,
-    inscribed_radius,
-    min_inner_angle,
-    perimeter,
-)
+from .geometry import Polygon, edge_lengths, inscribed_radii, interior_angles, signed_areas
 
 METRIC_NAMES = ("UF", "CR", "APR", "MA", "ER", "NPD")
 
 
+def _group_metrics(coords: np.ndarray) -> dict[str, np.ndarray]:
+    """The six metrics of each loop of a (G, n, 2) stack, UF as the bare diameter."""
+    d = coords[:, :, None, :] - coords[:, None, :, :]
+    dist = np.sqrt((d * d).sum(axis=-1))  # vertex-pair distances
+    diam, n = dist.max(axis=(1, 2)), coords.shape[1]
+    dist[:, range(n), range(n)] = np.inf
+    lens = edge_lengths(coords)
+    return {
+        "UF": diam,
+        "CR": inscribed_radii(coords) / (0.5 * diam),
+        "APR": 4.0 * np.pi * signed_areas(coords) / lens.sum(axis=-1) ** 2,
+        "MA": interior_angles(coords).min(axis=-1) / np.pi,
+        "ER": lens.min(axis=-1) / lens.max(axis=-1),
+        "NPD": dist.min(axis=(1, 2)) / diam,
+    }
+
+
+def element_metrics(p: Polygon, h: float) -> dict[str, float]:
+    """The six metrics of one element, UF against the mesh size h."""
+    values = _group_metrics(p.coords[None])
+    return {name: float(v[0] / h if name == "UF" else v[0]) for name, v in values.items()}
+
+
 def circle_ratio(p: Polygon) -> float:
     """Inscribed radius over the approximate circumscribed radius diam/2."""
-    return inscribed_radius(p) / (0.5 * diameter(p))
+    return element_metrics(p, 1.0)["CR"]
 
 
 def area_perimeter_ratio(p: Polygon) -> float:
     """Isoperimetric quotient 4*pi*area / perimeter^2 (1 for a disc)."""
-    per = perimeter(p)
-    return 4.0 * np.pi * area(p) / (per * per)
+    return element_metrics(p, 1.0)["APR"]
 
 
 def min_angle(p: Polygon) -> float:
     """Minimum inner angle normalized by 180 degrees."""
-    return min_inner_angle(p) / np.pi
+    return element_metrics(p, 1.0)["MA"]
 
 
 def edge_ratio(p: Polygon) -> float:
-    lens = edge_lengths(p)
-    return float(lens.min() / lens.max())
+    return element_metrics(p, 1.0)["ER"]
 
 
 def normalized_point_distance(p: Polygon) -> float:
     """Min vertex-pair distance over the approximate circumscribed diameter."""
-    d = p.coords[:, None, :] - p.coords[None, :, :]
-    dist = np.sqrt((d * d).sum(axis=2))
-    diam = dist.max()  # equals diameter(p)
-    np.fill_diagonal(dist, np.inf)
-    return float(dist.min() / diam)
-
-
-def uniformity_factor(polys: list[Polygon]) -> np.ndarray:
-    """Element diameter divided by the mesh size h = max diameter."""
-    diams = np.array([diameter(p) for p in polys])
-    return diams / diams.max()
-
-
-def element_metrics(p: Polygon, h: float) -> dict[str, float]:
-    diam = diameter(p)
-    return {
-        "UF": diam / h,
-        "CR": inscribed_radius(p) / (0.5 * diam),  # circle_ratio(p)
-        "APR": area_perimeter_ratio(p),
-        "MA": min_angle(p),
-        "ER": edge_ratio(p),
-        "NPD": normalized_point_distance(p),
-    }
+    return element_metrics(p, 1.0)["NPD"]
 
 
 @dataclass
@@ -102,17 +95,13 @@ class QualityReport:
 
 
 def quality_report(polys: list[Polygon], bins: int = 20) -> QualityReport:
-    """Evaluate all six metrics on every element of the mesh."""
-    per_metric = {name: np.empty(len(polys)) for name in METRIC_NAMES}
-    for i, p in enumerate(polys):
-        for name, val in element_metrics(p, 1.0).items():
-            per_metric[name][i] = val
-    per_metric["UF"] /= per_metric["UF"].max()  # diameter over h = max diameter
-    return QualityReport(per_metric, bins=bins)
-
-
-def load_quality_csv(path) -> dict[str, np.ndarray]:
-    rows = list(csv.reader(Path(path).open()))
-    header = rows[0][1:]
-    data = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return {name: data[:, j] for j, name in enumerate(header)}
+    """All six metrics of every element, one kernel call per vertex count."""
+    if not polys:
+        raise ValueError("quality report: the mesh has no elements")
+    values = {name: np.empty(len(polys)) for name in METRIC_NAMES}
+    counts = np.array([p.n for p in polys])
+    for ids in (np.flatnonzero(counts == n) for n in np.unique(counts)):
+        for name, vals in _group_metrics(np.stack([polys[i].coords for i in ids])).items():
+            values[name][ids] = vals
+    values["UF"] /= values["UF"].max()  # diameter over h = max diameter
+    return QualityReport(values, bins=bins)

@@ -219,7 +219,7 @@ def fallback_bisect(p: Polygon) -> RefinementResult:
     triangle at the midpoint of its longest edge."""
     n, bnd = p.n, _boundary(p)
     if n == 3:
-        i = int(np.argmax(edge_lengths(p)))
+        i = int(np.argmax(edge_lengths(p.coords)))
         a, b, c = 2 * i, (2 * i + 2) % 6, (2 * i + 4) % 6
         return RefinementResult(bnd, [[a, a + 1, c], [a + 1, b, c]], Strategy.FALLBACK_BISECT)
 

@@ -3,7 +3,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from polyrefine.geometry import Polygon
+from polyrefine.geometry import Polygon, diameter
 
 
 def random_star_polygon(rng, n_min=3, n_max=9, reflex=True):
@@ -22,6 +22,16 @@ def random_star_polygon(rng, n_min=3, n_max=9, reflex=True):
     pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     pts += rng.uniform(-3.0, 3.0, size=2)
     return Polygon(pts)
+
+
+def is_convex(p: Polygon) -> bool:
+    """All turns are left turns up to a tolerance relative to the diameter;
+    aligned vertices are fine."""
+    prev, nxt = np.roll(p.coords, 1, axis=0), np.roll(p.coords, -1, axis=0)
+    u, v = p.coords - prev, nxt - p.coords
+    cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    lens = np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1])
+    return bool(np.all(cross >= -1e-10 * diameter(p) * np.sqrt(lens + 1e-300)))
 
 
 def with_aligned_vertex(p: Polygon, edge: int = 0, t: float = 0.5) -> Polygon:

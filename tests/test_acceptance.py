@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from polyrefine import cnn, metrics, vem
-from polyrefine.geometry import Polygon, centroid, regular_polygon
+from polyrefine.geometry import Polygon, centroid, diameter, regular_polygon
 from polyrefine.mesh import (
     generate_nonconvex_grid,
     generate_smoothed_voronoi_grid,
@@ -251,7 +251,7 @@ def test_criterion_7_property_suites(refinement_matrix, rng):
     checked = 0
     for mesh in refinement_matrix.values():
         polys = mesh.polygons()
-        h = max(metrics.diameter(p) for p in polys)
+        h = max(diameter(p) for p in polys)
         for p in polys:
             for name, value in metrics.element_metrics(p, h).items():
                 assert 0.0 <= value <= 1.0 + 1e-12, (name, value)

@@ -1,7 +1,10 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from polyrefine import cli, cnn
-from polyrefine.mesh import load_mesh
+from polyrefine.mesh import PolyMesh, load_mesh, save_mesh
 
 
 def run(*argv):
@@ -176,3 +179,29 @@ def test_mp_three_passes_element_count_band(tmp_path):
     )
     refined = load_mesh(out / "mesh_refined.txt")
     assert 6371 * 0.7 <= refined.n_elements <= 6371 * 1.3
+
+
+# SHA-256 of quality.csv, recorded before the grouped quality kernels
+QUALITY_GOLDEN = {
+    ("nonconvex", 2): "bd51cb2ebbeaf98a1261f1ea1915a48f671c12178d597bf4fb2d2b7bc44b1326",
+    ("voronoi", 1): "7655f46b47fa559876faba7554d72bf07f3b4802d78c26fbef0569c46300ad6d",
+}
+
+
+@pytest.mark.parametrize("grid,steps", sorted(QUALITY_GOLDEN))
+def test_quality_csv_matches_golden_hash(tmp_path, grid, steps):
+    out = tmp_path / "out"
+    run("gen-mesh", "--grid", grid, "--out-dir", out, "--seed", 3)
+    args = ("--strategy", "mp", "--steps", steps, "--out-dir", out)
+    assert run("refine", "--mesh", out / "mesh.txt", *args) == 0
+    assert run("quality", "--mesh", out / "mesh_refined.txt", "--out-dir", out, "--seed", 3) == 0
+    digest = hashlib.sha256((out / "quality.csv").read_bytes()).hexdigest()
+    assert digest == QUALITY_GOLDEN[(grid, steps)]
+
+
+def test_quality_of_an_empty_mesh_is_a_one_line_error(tmp_path, capsys):
+    save_mesh(PolyMesh(np.zeros((0, 2)), []), tmp_path / "empty.txt")
+    assert load_mesh(tmp_path / "empty.txt").n_elements == 0
+    assert run("quality", "--mesh", tmp_path / "empty.txt", "--out-dir", tmp_path) == 1
+    assert capsys.readouterr().err == "error: quality report: the mesh has no elements\n"
+    assert not (tmp_path / "quality.csv").exists()

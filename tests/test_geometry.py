@@ -17,18 +17,21 @@ from polyrefine.geometry import (
     corner_count,
     diameter,
     distance_to_boundary,
+    edge_lengths,
     edge_midpoints,
     geom_tol,
     inscribed_radius,
     interior_angles,
-    is_convex,
-    min_inner_angle,
-    perimeter,
     regular_polygon,
     segment_orientations,
     segments_straddle,
 )
-from conftest import random_star_polygon, with_aligned_vertex
+from conftest import is_convex, random_star_polygon, with_aligned_vertex
+
+
+def perimeter(p: Polygon) -> float:
+    return float(edge_lengths(p.coords).sum())
+
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = Polygon([(0, 0), (1, 0), (0, 1)])
@@ -126,14 +129,14 @@ def test_is_convex():
 
 
 def test_min_inner_angle():
-    assert min_inner_angle(SQUARE) == pytest.approx(math.pi / 2)
-    assert min_inner_angle(EQUILATERAL) == pytest.approx(math.pi / 3)
+    assert interior_angles(SQUARE.coords).min() == pytest.approx(math.pi / 2)
+    assert interior_angles(EQUILATERAL.coords).min() == pytest.approx(math.pi / 3)
     # the aligned vertex counts as a valid (straight) inner angle of pi,
     # while the minimum over all stored vertices stays at the corner value
-    angles = interior_angles(SPLIT_SQUARE)
+    angles = interior_angles(SPLIT_SQUARE.coords)
     assert sorted(angles)[-1] == pytest.approx(math.pi)
-    assert min_inner_angle(SPLIT_SQUARE) == pytest.approx(math.pi / 2)
-    angles = interior_angles(L_SHAPE)
+    assert angles.min() == pytest.approx(math.pi / 2)
+    angles = interior_angles(L_SHAPE.coords)
     assert max(angles) == pytest.approx(1.5 * math.pi)  # reflex corner
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import assert_loop_table_matches_loops, edge_incidence
+from conftest import assert_loop_table_matches_loops, edge_incidence, is_convex
 
 from polyrefine import geometry
-from polyrefine.geometry import PolygonError, is_convex
+from polyrefine.geometry import PolygonError
 from polyrefine.mesh import (
     GRID_GENERATORS,
     MeshError,

@@ -1,22 +1,30 @@
+import csv
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyrefine.geometry import Polygon, regular_polygon
+from polyrefine import cnn
+from polyrefine.geometry import Polygon, inscribed_radii, regular_polygon
+from polyrefine.mesh import GRID_GENERATORS, refine_mesh
 from polyrefine.metrics import (
     METRIC_NAMES,
     area_perimeter_ratio,
     circle_ratio,
     edge_ratio,
     element_metrics,
-    load_quality_csv,
     min_angle,
     normalized_point_distance,
     quality_report,
-    uniformity_factor,
 )
-from conftest import random_star_polygon
+import quality_reference
+from conftest import random_star_polygon, with_aligned_vertex
+
+CLASSIFIER = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "classifier.bin"
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 EQUILATERAL = Polygon([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
@@ -70,9 +78,8 @@ def test_uniformity_factor():
         SQUARE,
         Polygon([(2, 0), (2.5, 0), (2.5, 0.5), (2, 0.5)]),
     ]
-    uf = uniformity_factor(squares)
-    assert uf == pytest.approx([1.0, 0.5])
-    assert uniformity_factor([SQUARE]) == pytest.approx([1.0])
+    assert quality_report(squares).values["UF"] == pytest.approx([1.0, 0.5])
+    assert quality_report([SQUARE]).values["UF"] == pytest.approx([1.0])
 
 
 def test_metrics_invariance(rng):
@@ -119,6 +126,84 @@ def test_quality_report_csv(tmp_path, rng):
     assert rep.n_elements == 8
     path = tmp_path / "quality.csv"
     rep.to_csv(path)
-    back = load_quality_csv(path)
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["element", *METRIC_NAMES]
+    assert [int(r[0]) for r in rows[1:]] == list(range(8))
+    for j, name in enumerate(METRIC_NAMES, start=1):
+        assert [float(r[j]) for r in rows[1:]] == rep.values[name].tolist()  # repr round-trips
+
+
+def test_quality_report_of_no_elements_is_an_error():
+    with pytest.raises(ValueError, match="the mesh has no elements"):
+        quality_report([])
+
+
+# ---------------------------------------------------------------------------
+# the grouped kernels against the per-polygon reference, bit for bit
+# ---------------------------------------------------------------------------
+
+def _assert_matches_reference(polys):
+    got = quality_report(polys).values
+    want = quality_reference.quality_values(polys)
     for name in METRIC_NAMES:
-        assert back[name] == pytest.approx(rep.values[name])
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.fixture(scope="module")
+def classifier():
+    return cnn.load_model(CLASSIFIER).classify_polygon
+
+
+@pytest.mark.parametrize("grid", sorted(GRID_GENERATORS))
+def test_quality_report_matches_reference_on_refined_grids(grid, classifier):
+    """The grid, the grid after three uniform MP passes and after one CNN-RP
+    pass with the committed classifier."""
+    m = GRID_GENERATORS[grid]()
+    _assert_matches_reference(m.polygons())
+    _assert_matches_reference(refine_mesh(m, range(m.n_elements), "cnn-rp", classifier).polygons())
+    for _ in range(3):
+        m = refine_mesh(m, range(m.n_elements), "mp")
+    _assert_matches_reference(m.polygons())
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(3, 12), st.integers(0, 2**32 - 1), st.booleans(), st.integers(-1, 11)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_quality_report_matches_reference_on_mixed_star_polygons(draws):
+    """Star polygons of mixed vertex counts, some with reflex corners and an
+    aligned vertex (edge >= 0), in drawn order: each group's values must be
+    written back to its elements."""
+    polys = []
+    for n, seed, reflex, edge in draws:
+        rng = np.random.default_rng(seed)
+        p = random_star_polygon(rng, n, n, reflex=reflex)
+        polys.append(with_aligned_vertex(p, edge % n, float(rng.uniform(0.2, 0.8))) if edge >= 0 else p)
+    _assert_matches_reference(polys)
+    for p in polys[:3]:
+        assert element_metrics(p, 2.0) == quality_reference.element_metrics(p, 2.0)
+
+
+# a staircase L with three reflex corners and two aligned vertices
+STAIRCASE = Polygon(
+    [(0, 0), (2, 0), (4, 0), (4, 1), (3, 1), (3, 2), (2, 2), (2, 3), (1, 3), (1, 4), (0, 4), (0, 2)]
+)
+
+
+@pytest.mark.parametrize("p", [regular_polygon(48), STAIRCASE], ids=["regular48", "staircase12"])
+def test_inscribed_radii_chunks_bound_memory(p):
+    """20 copies of a 48-gon are 345,920 line triples; unchunked, one
+    (loops, candidates, n, 2) array would take 265 MB."""
+    tracemalloc.start()
+    try:
+        got = inscribed_radii(np.stack([p.coords] * 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [quality_reference.inscribed_radius(p)] * 20
+    assert peak < 64 * 2**20, peak

@@ -150,8 +150,8 @@ def test_template_triangle():
     from polyrefine.geometry import edge_lengths
 
     medial = res.children[-1]
-    assert sorted(edge_lengths(medial)) == pytest.approx(
-        [l / 2 for l in sorted(edge_lengths(eq))]
+    assert sorted(edge_lengths(medial.coords)) == pytest.approx(
+        [l / 2 for l in sorted(edge_lengths(eq.coords))]
     )
 
 
