@@ -169,11 +169,11 @@ def cmd_classify(args) -> None:
     out = _out_dir(args)
     mesh = load_mesh(args.mesh)
     net = cnn.load_model(args.model)
+    labels = net.classify_polygons(mesh.polygons())
     with open(out / "labels.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["element", "label"])
-        for i in range(mesh.n_elements):
-            w.writerow([i, net.classify_polygon(mesh.polygon(i))])
+        w.writerows(enumerate(labels.tolist()))
     print(f"labeled {mesh.n_elements} elements")
 
 

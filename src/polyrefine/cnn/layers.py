@@ -59,9 +59,17 @@ class ConvLayer:
     def _use_shifts(self) -> bool:
         return self.in_channels * self.feature_maps <= self._SHIFT_LIMIT
 
+    def _pad(self, x: np.ndarray) -> np.ndarray:
+        """x with k zero rows and columns on each side (np.pad's bytes, without its overhead)."""
+        k = self.k
+        N, m, n, c = x.shape
+        xp = np.zeros((N, m + 2 * k, n + 2 * k, c), dtype=x.dtype)
+        xp[:, k : k + m, k : k + n] = x
+        return xp
+
     def _im2col(self, x: np.ndarray) -> np.ndarray:
-        k, K = self.k, 2 * self.k + 1
-        xp = np.pad(x, ((0, 0), (k, k), (k, k), (0, 0)))
+        K = 2 * self.k + 1
+        xp = self._pad(x)
         win = sliding_window_view(xp, (K, K), axis=(1, 2))  # (N, m, n, c, K, K)
         N, m, n = win.shape[:3]
         return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
@@ -76,19 +84,19 @@ class ConvLayer:
         dt = x.dtype
         kernel = self.kernel.astype(dt, copy=False)
         bias = self.bias.astype(dt, copy=False)
-        k, K = self.k, 2 * self.k + 1
+        K = 2 * self.k + 1
         N, m, n, _ = x.shape
         if self._use_shifts():
-            xp = np.pad(x, ((0, 0), (k, k), (k, k), (0, 0)))
+            xp = self._pad(x)
             out = np.empty((N, m, n, self.feature_maps), dtype=dt)
             if self.in_channels == 1:
                 # one map at a time on contiguous (N, m, n) planes, in the same order:
                 # a product with inner dimension 1 rounds once, as the matmul does
-                acc = np.empty((N, m, n), dtype=dt)
+                acc, term = np.empty((2, N, m, n), dtype=dt)
                 for o in range(self.feature_maps):
                     acc[:] = bias[o]
                     for a, b in np.ndindex(K, K):
-                        acc += xp[:, a : a + m, b : b + n, 0] * kernel[a, b, 0, o]
+                        acc += np.multiply(xp[:, a : a + m, b : b + n, 0], kernel[a, b, 0, o], out=term)
                     out[..., o] = acc
             else:
                 out[:] = bias
@@ -325,7 +333,16 @@ class DenseLayer:
             self._flat = flat
             self._shape = x.shape
         dt = x.dtype
-        return flat @ self.weights.astype(dt, copy=False) + self.bias.astype(dt, copy=False)
+        w, b = self.weights.astype(dt, copy=False), self.bias.astype(dt, copy=False)
+        if dt == np.float64 and not train:
+            # BLAS rounds a one-row product (gemv) unlike a many-row one (gemm):
+            # float64 inference takes one row at a time, so a row's scores do
+            # not depend on the batch it came in
+            out = np.empty((len(flat), self.out_features), dtype=dt)
+            for i in range(len(flat)):
+                out[i : i + 1] = flat[i : i + 1] @ w
+            return out + b
+        return flat @ w + b
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         self.g_weights = (self._flat.T @ grad).astype(np.float64, copy=False)

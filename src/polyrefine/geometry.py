@@ -229,7 +229,9 @@ def strictly_inside(p: Polygon, q, margin: float | None = None) -> bool:
     if margin is None:
         margin = geom_tol(p)
     pt = np.asarray([[q[0], q[1]]], dtype=float)
-    return bool(distance_to_boundary(p, pt)[0] > margin and contains_many(p, pt, tol=0.0)[0])
+    d = boundary_distances(p.coords, pt)[0]
+    # as contains_many(p, pt, tol=0.0) once d > margin: d <= 0 only for a negative margin
+    return bool(d > margin and (d <= 0.0 or odd_crossings(p.coords, pt)[0]))
 
 
 def interior_angles(coords: np.ndarray) -> np.ndarray:

@@ -13,7 +13,10 @@ Within one refinement pass the marked elements are processed sequentially:
 each element is refined against the current mesh, so it sees the boundary
 points inserted by elements processed earlier in the same pass (this is
 what makes midpoint refinement counts grow the way they do on conforming
-grids).
+grids). The classifier is the exception: a CNN pass labels every marked
+element once, before it refines any, from the loops as the pass found them
+(see `refine_mesh_report`). The hanging nodes that earlier elements insert
+are aligned vertices, which change neither the raster nor the corner count.
 
 A `PolyMesh` lays its loops out once, in a loop table: CSR `offsets` into
 the flat vertex ids `indices`, the vertex-count groups, and `edges`: each
@@ -45,7 +48,7 @@ from .geometry import (
     diameters,
     signed_areas,
 )
-from .refine import RefinementResult, Strategy, refine_element
+from .refine import CNN_STRATEGIES, RefinementResult, Strategy, classify, refine_element
 
 
 class MeshError(ValueError):
@@ -347,8 +350,12 @@ def refine_mesh_report(
 ) -> tuple[PolyMesh, RefinePassReport]:
     """Refine the marked elements (integer element indices) sequentially.
 
-    `refine_element` has checked each child, so the pass checks only how the
-    loops of the new mesh meet (`PolyMesh._check_conformity`)."""
+    A CNN strategy labels the marked elements by one `refine.classify` call
+    (one `classify_polygons` batch call for a Network, one call per element
+    for a per-polygon callable) on their loops as the pass found them, then
+    refines each with its label. `refine_element` has checked each child, so
+    the pass checks only how the loops of the new mesh meet
+    (`PolyMesh._check_conformity`)."""
     marks = list(marks)
     for m in marks:
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
@@ -356,10 +363,13 @@ def refine_mesh_report(
     marks = sorted(set(map(int, marks)))
     if marks and (marks[0] < 0 or marks[-1] >= mesh.n_elements):
         raise MeshError("mark index out of range")
+    labels = [None] * len(marks)
+    if marks and Strategy(strategy) in CNN_STRATEGIES:
+        labels = classify(classifier, [mesh.polygon(eid) for eid in marks])
     work = _WorkingMesh(mesh)
     strategy_counts: dict[str, int] = {}
-    for eid in marks:
-        res = refine_element(work.polygon(eid), strategy, classifier, rho)
+    for eid, label in zip(marks, labels):
+        res = refine_element(work.polygon(eid), strategy, classifier, rho, label)
         work.replace(eid, res)
         name = res.strategy_used.value
         strategy_counts[name] = strategy_counts.get(name, 0) + 1

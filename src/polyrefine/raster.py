@@ -32,10 +32,6 @@ class BinaryImage:
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
-    @property
-    def lit_count(self) -> int:
-        return int(self.pixels.sum())
-
     def to_pgm(self) -> str:
         text = np.full((RESOLUTION, 2 * RESOLUTION), ord(" "), dtype=np.uint8)  # a text row per pixel row
         text[:, ::2], text[:, -1] = self.pixels + ord("0"), ord("\n")

@@ -17,12 +17,14 @@ even index to the element's vertex, an odd one to a new vertex on the
 element's edge, and an interior row to a new vertex, without comparing
 coordinates.
 
-The classifier-driven strategies accept either a plain callable mapping a
-Polygon to an integer label (3 = triangle, 4 = quad, ...) or any object with
-a ``classify_polygon`` method (e.g. a trained Network).
+The classifier-driven strategies take a classifier (see `classify`): an
+object with a batch method ``classify_polygons`` (a trained Network), or a
+callable mapping one Polygon to an integer label (3 = triangle, 4 = quad,
+...), such as `corner_label` or a Network's ``classify_polygon``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,8 +50,10 @@ from .geometry import (
     strictly_inside,
 )
 
-# Enumeration cap for the representative-vertex subset search.
+# Enumeration cap for the representative-vertex subset search, and the
+# subsets whose distance blocks are gathered at once.
 _MAX_SUBSETS = 200_000
+_SUBSET_CHUNK = 4096
 
 
 class Strategy(str, Enum):
@@ -57,6 +61,9 @@ class Strategy(str, Enum):
     CNN_MP = "cnn-mp"
     CNN_RP = "cnn-rp"
     FALLBACK_BISECT = "fallback-bisect"
+
+
+CNN_STRATEGIES = (Strategy.CNN_MP, Strategy.CNN_RP)
 
 
 class RefinementError(ValueError):
@@ -75,15 +82,17 @@ class RefinementResult:
         return [Polygon.trusted(self.points[loop]) for loop in self.loops]
 
 
-def _as_classifier(obj):
-    if obj is None:
+def classify(classifier, polys: list[Polygon]) -> list[int]:
+    """The classifier's label of each polygon: one `classify_polygons(polys)`
+    call if it has that method, else one call of the classifier per polygon."""
+    if classifier is None:
         raise TypeError("a classifier is required for CNN strategies")
-    method = getattr(obj, "classify_polygon", None)
-    if method is not None:
-        return method
-    if callable(obj):
-        return obj
-    raise TypeError("classifier must be callable or expose classify_polygon()")
+    batch = getattr(classifier, "classify_polygons", None)
+    if batch is not None:
+        return [int(label) for label in batch(polys)]
+    if not callable(classifier):
+        raise TypeError("classifier must be callable or expose classify_polygons()")
+    return [int(classifier(p)) for p in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +126,21 @@ def select_representative_vertices(p: Polygon, label: int) -> list[int]:
         p.coords[:, None, 1] - p.coords[None, :, 1],
     )
     if math.comb(n, label) <= _MAX_SUBSETS:
+        combos = _combinations(n, label)
+        # each subset's (label, label) block of `dist`, summed as one row in row-major order
+        sums = np.concatenate([
+            dist[c[:, :, None], c[:, None, :]].reshape(len(c), -1).sum(axis=1)
+            for c in np.split(combos, range(_SUBSET_CHUNK, len(combos), _SUBSET_CHUNK))
+        ])
+        # The first subset beating the best so far by more than 1e-15 becomes
+        # the best; such a subset beats every earlier sum, so only the strict
+        # running maxima need the scan.
+        record = np.flatnonzero(sums > np.maximum.accumulate(np.concatenate(([-np.inf], sums[:-1]))))
         best, best_sum = None, -1.0
-        for combo in itertools.combinations(range(n), label):
-            s = float(dist[np.ix_(combo, combo)].sum())
+        for i, s in zip(record.tolist(), sums[record].tolist()):
             if s > best_sum + 1e-15:
-                best, best_sum = combo, s
-        return list(best)
+                best, best_sum = i, s
+        return combos[best].tolist()
     # Greedy fallback for pathological vertex counts.
     i0, j0 = np.unravel_index(int(np.argmax(dist)), dist.shape)
     chosen = [int(i0), int(j0)]
@@ -131,6 +149,16 @@ def select_representative_vertices(p: Polygon, label: int) -> list[int]:
         gains[chosen] = -np.inf
         chosen.append(int(np.argmax(gains)))
     return sorted(chosen)
+
+
+@functools.lru_cache(maxsize=32)
+def _combinations(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) as a read-only (comb(n, k), k) array, in
+    `itertools.combinations` order, in the smallest unsigned dtype."""
+    combos = itertools.combinations(range(n), k)
+    out = np.array(list(combos), dtype=np.min_scalar_type(n)).reshape(-1, k)
+    out.setflags(write=False)
+    return out
 
 
 def _boundary(p: Polygon) -> np.ndarray:
@@ -308,23 +336,26 @@ def refine_element(
     strategy: Strategy | str,
     classifier=None,
     rho: float = 0.5,
+    label: int | None = None,
 ) -> RefinementResult:
     """Refine one element with the requested strategy, falling back to
     bisection whenever the strategy cannot produce a valid partition.
 
     `rho`, the CNN-RP inner-polygon scale, must lie strictly between 0 and
-    1 (ValueError). The classifier runs next (its errors propagate) and its
-    label is clamped to [3, p.n]. Then the centroid must be strictly inside,
-    the strategy builds the children, each child loop must be a simple CCW
-    polygon (the one check of template output), and the children must
-    partition p.
+    1 (ValueError). A CNN strategy takes `label` if given (a refinement pass
+    classifies its marked elements at once), else the classifier's label of
+    p (see `classify`; its errors propagate), and clamps it to [3, p.n].
+    Then the centroid must be strictly inside, the strategy builds the
+    children, each child loop must be a simple CCW polygon (the one check of
+    template output), and the children must partition p.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     strategy = Strategy(strategy)
-    label = None
-    if strategy in (Strategy.CNN_MP, Strategy.CNN_RP):
-        label = max(3, min(int(_as_classifier(classifier)(p)), p.n))
+    if strategy in CNN_STRATEGIES:
+        if label is None:
+            (label,) = classify(classifier, [p])
+        label = max(3, min(int(label), p.n))
     try:
         if strategy == Strategy.FALLBACK_BISECT:
             raise RefinementError("bisection requested")

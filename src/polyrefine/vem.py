@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import Polygon, diameters, signed_areas
+from .geometry import diameters, signed_areas
 from .mesh import PolyMesh, mark_fixed_fraction, refine_mesh
 
 _DIRECT_SOLVE_LIMIT = 5000
@@ -150,17 +150,6 @@ def _fan_quadrature(xy: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pts.reshape(len(xy), -1, 2), (s[:, :, None] * _QW).reshape(len(xy), -1)
 
 
-def local_stiffness(p: Polygon) -> np.ndarray:
-    """The element matrix of one polygon."""
-    return _stiffness(*_projection(p.coords[None])[:3])[0]
-
-
-def polygon_quadrature(p: Polygon) -> tuple[np.ndarray, np.ndarray]:
-    """Fan quadrature points (6n, 2) and weights (6n,) of one polygon."""
-    pts, wts = _fan_quadrature(p.coords[None], p.coords.mean(axis=0)[None])
-    return pts[0], wts[0]
-
-
 # ---------------------------------------------------------------------------
 # global system
 # ---------------------------------------------------------------------------
@@ -245,10 +234,6 @@ def local_errors(mesh: PolyMesh, u: np.ndarray, case: ManufacturedCase) -> np.nd
         gx, gy = case.grad(pts[:, :, 0], pts[:, :, 1])
         out[ids] = np.sum(wts * ((gx_h - gx) ** 2 + (gy_h - gy) ** 2), axis=1)
     return out
-
-
-def h1_error(mesh: PolyMesh, u: np.ndarray, case: ManufacturedCase) -> float:
-    return math.sqrt(float(local_errors(mesh, u, case).sum()))
 
 
 # ---------------------------------------------------------------------------

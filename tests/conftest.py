@@ -1,9 +1,13 @@
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polyrefine.geometry import Polygon, diameter
+
+# the benchmark's committed classifier: a trained model the tests need not train
+CLASSIFIER = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "classifier.bin"
 
 
 def random_star_polygon(rng, n_min=3, n_max=9, reflex=True):

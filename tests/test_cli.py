@@ -199,6 +199,45 @@ def test_quality_csv_matches_golden_hash(tmp_path, grid, steps):
     assert digest == QUALITY_GOLDEN[(grid, steps)]
 
 
+# SHA-256 of mesh_refined.txt and of the labels.csv of that mesh, with the
+# committed classifier; recorded when each element was classified alone
+CNN_GOLDEN = {
+    ("voronoi", "cnn-rp"): (
+        "4ec5dc3ccb0272ab332f18bd16885913e33e3a1d369e84d5f9b7d1f399233731",
+        "2b2a57527df777f366b569d1eded3264fee8bff0990bd6e69e43421bc4abbaf9",
+    ),
+    ("smoothed", "cnn-mp"): (
+        "717e68d98aa035c09d04a21a6487ff6e7c5d3c2193fbdc0601eaa585a5b223c2",
+        "0103a01b46a2b6ec08c0d2b1243b5911cdb4fdf1a78f5bd2daf0e623f7331745",
+    ),
+    ("triangles", "cnn-rp"): (
+        "73ce3e182efa1088c6374da77c1cc82731c54ff07608d049adefed4b514bd7fb",
+        "b30de1c8f04355376b3cb17e33c5b8f612a40d9fab238af7e5bb237d6214dd7f",
+    ),
+}
+
+
+@pytest.mark.parametrize("grid,strategy", sorted(CNN_GOLDEN))
+def test_cnn_refine_and_classify_match_golden_hashes(tmp_path, grid, strategy):
+    from conftest import CLASSIFIER
+
+    out = tmp_path / "out"
+    run("gen-mesh", "--grid", grid, "--out-dir", out, "--seed", 3)
+    args = ("--strategy", strategy, "--model", CLASSIFIER, "--steps", 2, "--out-dir", out)
+    assert run("refine", "--mesh", out / "mesh.txt", *args) == 0
+    assert run("classify", "--mesh", out / "mesh_refined.txt", "--model", CLASSIFIER, "--out-dir", out) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("mesh_refined.txt", "labels.csv"))
+    assert digests == CNN_GOLDEN[(grid, strategy)]
+
+
+def test_classify_of_an_empty_mesh_writes_the_header(tmp_path):
+    from conftest import CLASSIFIER
+
+    save_mesh(PolyMesh(np.zeros((0, 2)), []), tmp_path / "empty.txt")
+    assert run("classify", "--mesh", tmp_path / "empty.txt", "--model", CLASSIFIER, "--out-dir", tmp_path) == 0
+    assert (tmp_path / "labels.csv").read_bytes() == b"element,label\r\n"
+
+
 def test_quality_of_an_empty_mesh_is_a_one_line_error(tmp_path, capsys):
     save_mesh(PolyMesh(np.zeros((0, 2)), []), tmp_path / "empty.txt")
     assert load_mesh(tmp_path / "empty.txt").n_elements == 0

@@ -142,3 +142,79 @@ def test_classify_tie_breaks_to_smaller_label():
     from polyrefine.geometry import Polygon
 
     assert net.classify_polygon(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])) == 3
+
+
+# ---------------------------------------------------------------------------
+# batched classification
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def trained():
+    from conftest import CLASSIFIER
+
+    return load_model(CLASSIFIER)
+
+
+def _grid_polygons(grid: str, passes: int):
+    from polyrefine.mesh import GRID_GENERATORS, refine_mesh
+
+    m = GRID_GENERATORS[grid]()
+    for _ in range(passes):
+        m = refine_mesh(m, range(m.n_elements), "mp")
+    return m.polygons()
+
+
+def _one_image_logits(net, p):
+    from polyrefine.raster import rasterize
+
+    return net.forward_logits(rasterize(p).pixels[None, :, :, None].astype(np.float64))[0]
+
+
+@pytest.mark.parametrize("passes", [0, 1, 2])
+@pytest.mark.parametrize("grid", ["nonconvex", "smoothed", "triangles", "voronoi"])
+def test_classify_polygons_logits_do_not_depend_on_the_batch(trained, monkeypatch, grid, passes):
+    """Each forward of `classify_polygons` gives every polygon the bytes of a
+    one-image forward, for a batch of 1, of 2 and of every element (more
+    than one chunk after an MP pass)."""
+    from polyrefine.cnn.network import CLASSIFY_CHUNK
+
+    polys = _grid_polygons(grid, passes)
+    single = np.array([_one_image_logits(trained, p) for p in polys])
+    forward, seen = Network.forward_logits, []
+
+    def recording(self, x, train=False):
+        seen.append(forward(self, x, train))
+        return seen[-1]
+
+    monkeypatch.setattr(Network, "forward_logits", recording)
+    assert passes == 0 or len(polys) > CLASSIFY_CHUNK
+    for batch in (polys[:1], polys[:2], polys):
+        seen.clear()
+        labels = trained.classify_polygons(batch)
+        chunks = range(0, len(batch), CLASSIFY_CHUNK)
+        assert [len(s) for s in seen] == [len(batch[i : i + CLASSIFY_CHUNK]) for i in chunks]
+        assert np.array_equal(np.concatenate(seen), single[: len(batch)])
+        assert labels.tolist() == (np.argmax(single[: len(batch)], axis=1) + 3).tolist()
+    assert labels.tolist() == [trained.classify_polygon(p) for p in polys]
+
+
+def test_classify_polygons_of_no_polygons(trained):
+    assert trained.classify_polygons([]).tolist() == []
+
+
+def test_classify_polygons_bounds_memory(trained, rng):
+    """600 polygons are classified a chunk at a time: the float64 activations
+    of one chunk, not of all 600 (about 140 MB), are alive at once."""
+    import tracemalloc
+
+    from conftest import random_star_polygon
+
+    polys = [random_star_polygon(rng) for _ in range(600)]
+    tracemalloc.start()
+    try:
+        labels = trained.classify_polygons(polys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 600 and set(labels.tolist()) <= {3, 4, 5, 6}
+    assert peak < 24e6

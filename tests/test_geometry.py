@@ -25,6 +25,7 @@ from polyrefine.geometry import (
     regular_polygon,
     segment_orientations,
     segments_straddle,
+    strictly_inside,
 )
 from conftest import is_convex, random_star_polygon, with_aligned_vertex
 
@@ -117,6 +118,30 @@ def test_contains():
     got = contains_many(SQUARE, [(0.5, 0.5), (1.5, 0.5), (1.0, 0.5)], geom_tol(SQUARE))
     assert got.tolist() == [True, False, True]
     assert contains_many(L_SHAPE, [(1.5, 1.5), (0.5, 0.5)], geom_tol(L_SHAPE)).tolist() == [False, True]
+
+
+def _strictly_inside_reference(p, q, margin=None):
+    """The two-call form `strictly_inside` replaced: distance, then containment."""
+    margin = geom_tol(p) if margin is None else margin
+    pt = np.asarray([[q[0], q[1]]], dtype=float)
+    return bool(distance_to_boundary(p, pt)[0] > margin and contains_many(p, pt, tol=0.0)[0])
+
+
+def test_strictly_inside_matches_the_two_call_form(rng):
+    """Points on, near and off the boundary, among them vertices, edge
+    points, points a fraction or a multiple of the tolerance away along the
+    edge normal, and far points; margins None, 0, the tolerance and negative."""
+    polys = [SQUARE, SPLIT_SQUARE, L_SHAPE] + [random_star_polygon(rng) for _ in range(10)]
+    for p in polys:
+        tol = geom_tol(p)
+        a, b = p.coords, np.roll(p.coords, -1, axis=0)
+        normal = (b - a)[:, ::-1] * (1.0, -1.0) / np.hypot(*(b - a).T)[:, None]  # outward for CCW
+        pts = [a, 0.5 * (a + b), 0.3 * a + 0.7 * b, p.coords.mean(axis=0)[None], p.coords.min(axis=0)[None] - 1.0]
+        pts += [0.5 * (a + b) + s * tol * normal for s in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
+        pts += [rng.uniform(p.coords.min(axis=0) - 0.1, p.coords.max(axis=0) + 0.1, size=(20, 2))]
+        for q in np.concatenate(pts):
+            for margin in (None, 0.0, tol, 3.0 * tol, -1.0):
+                assert strictly_inside(p, q, margin) == _strictly_inside_reference(p, q, margin), (q, margin)
 
 
 def test_is_convex():

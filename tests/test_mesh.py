@@ -245,6 +245,79 @@ def test_a_refinement_pass_checks_each_child_once(monkeypatch):
     assert len(calls) == created
 
 
+class _RecordingClassifier:
+    """A batch classifier that keeps the polygons of each call."""
+
+    def __init__(self, classify_polygons):
+        self._classify = classify_polygons
+        self.calls = []
+
+    def classify_polygons(self, polys):
+        labels = self._classify(polys)
+        self.calls.append((list(polys), list(labels)))
+        return labels
+
+
+@pytest.fixture(scope="module")
+def trained():
+    from conftest import CLASSIFIER
+
+    from polyrefine.cnn import load_model
+
+    return load_model(CLASSIFIER)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.CNN_MP, Strategy.CNN_RP])
+@pytest.mark.parametrize("grid", sorted(GRID_GENERATORS))
+def test_a_pass_classifies_the_loops_it_found_with_the_rasters_of_refine_time(
+    trained, monkeypatch, grid, strategy
+):
+    """Three uniform passes: each takes its labels in one batch call, before
+    it refines an element, and every marked element's raster then equals
+    the raster of the loop it has when it is refined (hanging nodes
+    inserted by earlier elements of the pass included)."""
+    from polyrefine import mesh as mesh_module
+    from polyrefine.raster import rasterize
+
+    refine_element = mesh_module.refine_element
+    at_refine = []
+
+    def recording(p, strategy, classifier=None, rho=0.5, label=None):
+        at_refine.append((p, label))
+        return refine_element(p, strategy, classifier, rho, label)
+
+    monkeypatch.setattr(mesh_module, "refine_element", recording)
+    m, grown = GRID_GENERATORS[grid](), 0
+    for _ in range(3):
+        classifier = _RecordingClassifier(trained.classify_polygons)
+        at_refine.clear()
+        new = refine_mesh(m, range(m.n_elements), strategy, classifier)
+        ((found, labels),) = classifier.calls
+        assert [q.coords.tolist() for q in found] == [m.vertices[loop].tolist() for loop in m.elements]
+        assert [label for _, label in at_refine] == labels
+        for before, (now, _) in zip(found, at_refine, strict=True):
+            assert np.array_equal(rasterize(before).pixels, rasterize(now).pixels)
+            grown += now.n > before.n
+        m = new
+    assert grown > 0  # some element had gained hanging nodes by its turn
+
+
+def test_a_pass_with_a_network_runs_one_forward_per_chunk(trained, monkeypatch):
+    from polyrefine.cnn import Network
+    from polyrefine.cnn.network import CLASSIFY_CHUNK
+
+    m = refine_mesh(generate_triangle_grid(4), range(32), Strategy.MP)
+    n, batches = m.n_elements, []
+    forward = Network.forward_logits
+    monkeypatch.setattr(Network, "forward_logits", lambda self, x, train=False: batches.append(len(x)) or forward(self, x))
+    new = refine_mesh(m, range(n), Strategy.CNN_RP, trained)
+    assert batches == [min(CLASSIFY_CHUNK, n - i) for i in range(0, n, CLASSIFY_CHUNK)]
+    assert len(batches) > 1
+    monkeypatch.setattr(Network, "forward_logits", forward)
+    per_polygon = refine_mesh(m, range(n), Strategy.CNN_RP, trained.classify_polygon)
+    assert new.elements == per_polygon.elements and np.array_equal(new.vertices, per_polygon.vertices)
+
+
 def test_uniform_rp_counts_on_triangle_grid():
     # acceptance anchor: with every label 3, counts go 32 -> 128 -> 512 -> 2048
     m = generate_triangle_grid(4)

@@ -1,7 +1,6 @@
 import csv
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +21,8 @@ from polyrefine.metrics import (
     quality_report,
 )
 import quality_reference
-from conftest import random_star_polygon, with_aligned_vertex
+from conftest import CLASSIFIER, random_star_polygon, with_aligned_vertex
 
-CLASSIFIER = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "classifier.bin"
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 EQUILATERAL = Polygon([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])

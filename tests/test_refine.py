@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyrefine import refine
 from polyrefine.geometry import Polygon, _signed_area, area, edge_midpoints, regular_polygon
@@ -20,7 +22,7 @@ from polyrefine.refine import (
     template_triangle,
     validate_partition,
 )
-from conftest import random_star_polygon
+from conftest import random_star_polygon, with_aligned_vertex
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = Polygon([(0, 0), (1, 0), (0, 1)])
@@ -86,6 +88,57 @@ def test_select_representative_vertices_enumeration(rng):
             if s > best_sum + 1e-12:
                 best, best_sum = combo, s
         assert select_representative_vertices(p, L) == list(best)
+
+
+def _subset_search_reference(p: Polygon, label: int) -> list[int]:
+    """The per-combination loop that the stacked subset search replaced."""
+    if label >= p.n:
+        return list(range(p.n))
+    c = p.coords
+    dist = np.hypot(c[:, None, 0] - c[None, :, 0], c[:, None, 1] - c[None, :, 1])
+    best, best_sum = None, -1.0
+    for combo in itertools.combinations(range(p.n), label):
+        s = float(dist[np.ix_(combo, combo)].sum())
+        if s > best_sum + 1e-15:
+            best, best_sum = combo, s
+    return list(best)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.sets(st.integers(0, 11), min_size=3),
+    st.lists(st.tuples(st.integers(0, 11), st.sampled_from([0.5, 0.25, 0.75])), max_size=3),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1e-3, 0.1, 1.0, 30.0]),
+    st.integers(3, 9),
+)
+def test_subset_search_matches_the_per_combination_loop(m, keep, aligned, phase, radius, label):
+    """Corners of a regular m-gon, some dropped and some edges given an
+    aligned vertex: symmetric shapes, so many subsets tie on their sum, up
+    to rounding. On the small shapes 1e-15 spans many units in the last
+    place of the sums, on the large ones less than one."""
+    keep = sorted(k for k in keep if k < m)
+    if len(keep) < 3:
+        keep = list(range(m))
+    p = Polygon(regular_polygon(m, radius, phase=phase).coords[keep])
+    for edge, t in aligned:
+        p = with_aligned_vertex(p, edge % p.n, t)
+    assert select_representative_vertices(p, label) == _subset_search_reference(p, label)
+
+
+@pytest.mark.parametrize("label", [5, 7, 8])
+@pytest.mark.parametrize("inner", [0.3, 1.0])
+def test_subset_search_over_several_chunks(label, inner):
+    """16-gons with 4,368 to 12,870 subsets, so more than one gathered
+    chunk: a regular one, where every rotation of the best subset ties, and
+    one whose first eight corners lie on a smaller circle, where the best
+    subsets come late."""
+    ang = 2.0 * np.pi * np.arange(16) / 16
+    radii = np.where(np.arange(16) < 8, inner, 1.0)
+    p = Polygon(np.column_stack([radii * np.cos(ang), radii * np.sin(ang)]))
+    assert math.comb(16, label) > refine._SUBSET_CHUNK
+    assert select_representative_vertices(p, label) == _subset_search_reference(p, label)
 
 
 def test_select_representative_all_when_label_large():
