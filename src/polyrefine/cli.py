@@ -17,7 +17,7 @@ from .mesh import (
     GRID_GENERATORS,
     load_mesh,
     mark_fixed_fraction,
-    refine_mesh,
+    refine_mesh_report,
     save_mesh,
 )
 from .refine import Strategy
@@ -184,9 +184,15 @@ def cmd_refine(args) -> None:
     r = _check_fraction(args.fraction)
     if args.steps < 1:
         raise SystemExit("--steps must be >= 1")
-    for _ in range(args.steps):
+    for step in range(1, args.steps + 1):
         marks = mark_fixed_fraction(mesh.per_element(diameters), r)
-        mesh = refine_mesh(mesh, marks, Strategy(args.strategy), classifier, args.rho)
+        new, report = refine_mesh_report(mesh, marks, Strategy(args.strategy), classifier, args.rho)
+        counts = {s: report.strategy_counts.get(s, 0) for s in (args.strategy, Strategy.FALLBACK_BISECT.value)}
+        print(
+            f"step {step}: {mesh.n_elements} -> {new.n_elements} elements"
+            f" ({', '.join(f'{s} {c}' for s, c in counts.items())}), {report.levels} levels"
+        )
+        mesh = new
     save_mesh(mesh, out / "mesh_refined.txt")
     svgplot.polygons_svg(
         [mesh.vertices[loop] for loop in mesh.elements], out / "mesh_refined.svg"

@@ -3,14 +3,15 @@
 A point is a row of a float64 (k, 2) array. Vertex loops are stored
 counter-clockwise; clockwise input is reversed on construction. Aligned
 (collinear) vertices are legal and preserved, since meshes with hanging
-nodes rely on them. `Polygon(...)` checks its input; `Polygon.trusted(...)`
-wraps coordinates derived from checked geometry. Measures are kernels over
-(..., n, 2) loop stacks; a one-polygon function is their one-row case.
+nodes rely on them. `Polygon(...)` checks its input (`loop_faults`, the
+stacked checks a refinement pass also runs on its children, then
+`_is_simple`); `Polygon.trusted(...)` wraps coordinates derived from
+checked geometry. Measures are kernels over (..., n, 2) loop stacks; a
+one-polygon function is their one-row case.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -65,14 +66,28 @@ def segments_straddle(d, eps: float):
     )
 
 
+def _touch_eps(pts: list) -> float:
+    """1e-13 times the square of the largest coordinate offset from the
+    vertex mean of a loop of [x, y] pairs. The mean is added up in order, as
+    numpy adds an (n, 2) array along its first axis, so the bits are those
+    of `np.abs(coords - coords.mean(axis=0)).max()` (the built-in `sum`
+    compensates its rounding from Python 3.12 on)."""
+    mx = my = 0.0
+    for x, y in pts:
+        mx += x
+        my += y
+    mx, my = mx / len(pts), my / len(pts)
+    scale = max(max(abs(x - mx), abs(y - my)) for x, y in pts) + 1e-300
+    return 1e-13 * scale * scale
+
+
 def _is_simple(coords: np.ndarray) -> bool:
     """No two non-adjacent edges cross or touch. An endpoint touches the
     other edge when it is within eps of that edge's line and inside its
     bounding box widened by eps."""
     n = len(coords)
-    scale = float(np.max(np.abs(coords - coords.mean(axis=0)))) + 1e-300
-    eps = 1e-13 * scale * scale
     pts = coords.tolist()
+    eps = _touch_eps(pts)
 
     def in_box(c, a, b):
         return (
@@ -96,6 +111,24 @@ def _is_simple(coords: np.ndarray) -> bool:
     return True
 
 
+LOOP_FAULTS = ("non-finite vertex coordinates", "degenerate polygon (zero area)", "repeated consecutive vertices")
+
+
+def loop_faults(coords: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Signed area and faults of each loop in a (..., n, 2) stack. Fault k,
+    a (...) mask, is LOOP_FAULTS[k]: a non-finite coordinate, |area| <=
+    1e-14 diag^2, or an edge no longer than 1e-13 diag, where diag is the
+    diagonal of the loop's bounding box; a loop's first fault names it.
+    These are the checks of `Polygon` but the simplicity test (`_is_simple`)."""
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite loop
+        span = coords.max(axis=-2) - coords.min(axis=-2)
+        diag = np.hypot(span[..., 0], span[..., 1]) + 1e-300
+        areas = signed_areas(coords)
+        short = edge_lengths(coords) <= (1e-13 * diag)[..., None]
+    finite = np.isfinite(coords).all(axis=(-2, -1))
+    return areas, (~finite, np.abs(areas) <= 1e-14 * diag * diag, short.any(axis=-1))
+
+
 class Polygon:
     """Simple CCW polygon over an immutable (n, 2) float64 coordinate array."""
 
@@ -110,17 +143,12 @@ class Polygon:
             raise PolygonError(f"vertices must be shaped (n, 2), not {arr.shape}")
         if arr.shape[0] < 3:
             raise PolygonError("polygon needs at least 3 vertices")
-        if not np.isfinite(arr).all():
-            raise PolygonError("non-finite vertex coordinates")
-        diag = float(np.hypot(*(arr.max(axis=0) - arr.min(axis=0)))) + 1e-300
-        signed = _signed_area(arr)
-        if abs(signed) <= 1e-14 * diag * diag:
-            raise PolygonError("degenerate polygon (zero area)")
+        signed, faults = loop_faults(arr)
+        for fault, message in zip(faults, LOOP_FAULTS):
+            if fault:
+                raise PolygonError(message)
         if signed < 0:
             arr = arr[::-1].copy()
-        gaps = np.hypot(*(np.concatenate((arr[1:], arr[:1])) - arr).T)
-        if np.any(gaps <= 1e-13 * diag):
-            raise PolygonError("repeated consecutive vertices")
         if not _is_simple(arr):
             raise PolygonError("self-intersecting loop")
         arr.setflags(write=False)
@@ -218,20 +246,13 @@ def distance_to_boundary(p: Polygon, pts: np.ndarray) -> np.ndarray:
     return boundary_distances(p.coords, np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
-def contains_many(p: Polygon, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Ray-crossing containment for points (m, 2); within tol of the boundary is inside."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return odd_crossings(p.coords, pts) | (boundary_distances(p.coords, pts) <= tol)
-
-
-def strictly_inside(p: Polygon, q, margin: float | None = None) -> bool:
-    """Inside and farther than `margin` from the boundary."""
-    if margin is None:
-        margin = geom_tol(p)
-    pt = np.asarray([[q[0], q[1]]], dtype=float)
-    d = boundary_distances(p.coords, pt)[0]
-    # as contains_many(p, pt, tol=0.0) once d > margin: d <= 0 only for a negative margin
-    return bool(d > margin and (d <= 0.0 or odd_crossings(p.coords, pt)[0]))
+def points_strictly_inside(coords: np.ndarray, pts: np.ndarray, margin) -> np.ndarray:
+    """Each point of a (..., m, 2) stack lies inside the matching loop of a
+    (..., n, 2) stack and farther than `margin` (broadcast to (..., m)) from
+    its boundary: (..., m). Past the margin the ray test decides, and a
+    boundary distance <= 0 counts as inside (only for a negative margin)."""
+    d = boundary_distances(coords, pts)
+    return (d > margin) & ((d <= 0.0) | odd_crossings(coords, pts))
 
 
 def interior_angles(coords: np.ndarray) -> np.ndarray:
@@ -344,15 +365,3 @@ def regular_polygon(n: int, radius: float = 1.0, center=(0.0, 0.0), phase: float
     ang = phase + 2.0 * np.pi * np.arange(n) / n
     pts = np.column_stack([center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)])
     return Polygon(pts)
-
-
-def point_on_segment(q, a, b, tol: float) -> bool:
-    """q lies on segment (a, b) within distance tol."""
-    ab = (b[0] - a[0], b[1] - a[1])
-    ab2 = ab[0] * ab[0] + ab[1] * ab[1]
-    if ab2 == 0.0:
-        return math.hypot(q[0] - a[0], q[1] - a[1]) <= tol
-    t = ((q[0] - a[0]) * ab[0] + (q[1] - a[1]) * ab[1]) / ab2
-    t = min(1.0, max(0.0, t))
-    px, py = a[0] + t * ab[0], a[1] + t * ab[1]
-    return math.hypot(q[0] - px, q[1] - py) <= tol

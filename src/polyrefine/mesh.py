@@ -6,17 +6,25 @@ loop it touches, so no vertex lies strictly inside another element's edge.
 every loaded and generated mesh passes through it, and refinement relies on
 it (a hanging node splits exactly one shared edge). A loop is checked once:
 a refinement pass runs only the conformity half of `validate` over its
-output, since `refine_element` has checked every child and the pass changes
+output, since `refine_elements` has checked every child and the pass changes
 other loops only by inserting edge midpoints.
 
-Within one refinement pass the marked elements are processed sequentially:
-each element is refined against the current mesh, so it sees the boundary
-points inserted by elements processed earlier in the same pass (this is
-what makes midpoint refinement counts grow the way they do on conforming
-grids). The classifier is the exception: a CNN pass labels every marked
-element once, before it refines any, from the loops as the pass found them
-(see `refine_mesh_report`). The hanging nodes that earlier elements insert
-are aligned vertices, which change neither the raster nor the corner count.
+Within one refinement pass each marked element is refined against the mesh
+that the marked elements before it (in element order) left, so it sees the
+boundary points they inserted on its edges (this is what makes midpoint
+refinement counts grow the way they do on conforming grids). Refining an
+element inserts points only into the loops of its edge neighbours, so an
+element depends only on its earlier marked edge neighbours. The pass runs
+by dependency level (`dependency_levels`): an element's level is one more
+than the highest level among those neighbours. No two elements of a level
+share an edge, and every earlier neighbour of an element lies in a lower
+level; so refining a level's elements together, against the mesh the
+earlier levels left, gives each element the loop it has in the
+element-by-element pass, and the pass gives that pass's mesh. The
+classifier is the exception: a CNN pass labels every marked element once,
+before it refines any, from the loops as the pass found them (see
+`refine_mesh_report`). The hanging nodes that earlier elements insert are
+aligned vertices, which change neither the raster nor the corner count.
 
 A `PolyMesh` lays its loops out once, in a loop table: CSR `offsets` into
 the flat vertex ids `indices`, the vertex-count groups, and `edges`: each
@@ -48,7 +56,7 @@ from .geometry import (
     diameters,
     signed_areas,
 )
-from .refine import CNN_STRATEGIES, RefinementResult, Strategy, classify, refine_element
+from .refine import CNN_STRATEGIES, RefinementResult, Strategy, classify, refine_elements
 
 
 class MeshError(ValueError):
@@ -259,7 +267,8 @@ class _VertexRegistry:
 @dataclass
 class RefinePassReport:
     created: list[int] = field(default_factory=list)  # new-mesh element indices
-    strategy_counts: dict[str, int] = field(default_factory=dict)
+    strategy_counts: dict[str, int] = field(default_factory=dict)  # in marks order
+    levels: int = 0  # dependency levels of the pass (see `dependency_levels`)
 
 
 class _WorkingMesh:
@@ -341,6 +350,27 @@ class _WorkingMesh:
         return mesh, RefinePassReport([k for k, s in enumerate(slots) if s >= n_original])
 
 
+def dependency_levels(mesh: PolyMesh, marks: list[int]) -> list[list[int]]:
+    """The sorted marks split into dependency levels, each ascending. An
+    element's level is one more than the highest level among the earlier
+    marks that share an edge with it (0 if none), read from `mesh.edges`."""
+    shared = mesh.edges[mesh.edges["shared"] == 2]
+    keys = np.minimum(shared["a"], shared["b"]) * mesh.n_vertices + np.maximum(shared["a"], shared["b"])
+    # the two records of a shared edge are adjacent once sorted by edge
+    pairs = shared["element"][np.argsort(keys, kind="stable")].reshape(-1, 2)
+    marked = np.zeros(mesh.n_elements, bool)
+    marked[marks] = True
+    pairs = np.sort(pairs[marked[pairs].all(axis=1)], axis=1)
+    level = dict.fromkeys(marks, 0)
+    # by later element, so each earlier element's level is final when read
+    for earlier, later in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
+        level[later] = max(level[later], level[earlier] + 1)
+    levels: list[list[int]] = [[] for _ in range(max(level.values(), default=-1) + 1)]
+    for eid in marks:
+        levels[level[eid]].append(eid)
+    return levels
+
+
 def refine_mesh_report(
     mesh: PolyMesh,
     marks,
@@ -348,13 +378,15 @@ def refine_mesh_report(
     classifier=None,
     rho: float = 0.5,
 ) -> tuple[PolyMesh, RefinePassReport]:
-    """Refine the marked elements (integer element indices) sequentially.
+    """Refine the marked elements (integer element indices), level by level.
 
     A CNN strategy labels the marked elements by one `refine.classify` call
     (one `classify_polygons` batch call for a Network, one call per element
-    for a per-polygon callable) on their loops as the pass found them, then
-    refines each with its label. `refine_element` has checked each child, so
-    the pass checks only how the loops of the new mesh meet
+    for a per-polygon callable) on their loops as the pass found them. Each
+    dependency level is one `refine_elements` call on its elements' loops as
+    the earlier levels left them; its results replace the elements in
+    element order. `refine_elements` has checked each child, so the pass
+    checks only how the loops of the new mesh meet
     (`PolyMesh._check_conformity`)."""
     marks = list(marks)
     for m in marks:
@@ -366,15 +398,19 @@ def refine_mesh_report(
     labels = [None] * len(marks)
     if marks and Strategy(strategy) in CNN_STRATEGIES:
         labels = classify(classifier, [mesh.polygon(eid) for eid in marks])
+    label_of = dict(zip(marks, labels))
+    levels = dependency_levels(mesh, marks)
     work = _WorkingMesh(mesh)
-    strategy_counts: dict[str, int] = {}
-    for eid, label in zip(marks, labels):
-        res = refine_element(work.polygon(eid), strategy, classifier, rho, label)
-        work.replace(eid, res)
-        name = res.strategy_used.value
-        strategy_counts[name] = strategy_counts.get(name, 0) + 1
+    used: dict[int, str] = {}
+    for level in levels:
+        polys = [work.polygon(eid) for eid in level]
+        for eid, res in zip(level, refine_elements(polys, strategy, classifier, rho, [label_of[eid] for eid in level])):
+            work.replace(eid, res)
+            used[eid] = res.strategy_used.value
     new_mesh, report = work.finish(mesh.n_elements)
-    report.strategy_counts = strategy_counts
+    for eid in marks:
+        report.strategy_counts[used[eid]] = report.strategy_counts.get(used[eid], 0) + 1
+    report.levels = len(levels)
     new_mesh._check_conformity()
     return new_mesh, report
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyrefine.geometry import Polygon, diameter
+from polyrefine.geometry import Polygon, boundary_distances, diameter, odd_crossings
 
 # the benchmark's committed classifier: a trained model the tests need not train
 CLASSIFIER = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "classifier.bin"
@@ -36,6 +36,13 @@ def is_convex(p: Polygon) -> bool:
     cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
     lens = np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1])
     return bool(np.all(cross >= -1e-10 * diameter(p) * np.sqrt(lens + 1e-300)))
+
+
+def contains_many(p: Polygon, pts, tol: float) -> np.ndarray:
+    """Ray-crossing containment of points (m, 2); within tol of the boundary
+    is inside."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return odd_crossings(p.coords, pts) | (boundary_distances(p.coords, pts) <= tol)
 
 
 def with_aligned_vertex(p: Polygon, edge: int = 0, t: float = 0.5) -> Polygon:

@@ -51,6 +51,22 @@ def test_refine_mp_roundtrip(tmp_path):
     assert refined.total_area() == pytest.approx(1.0, rel=1e-8)
 
 
+def test_refine_prints_one_line_per_step(tmp_path, capsys):
+    """Each step reports the element counts, the elements refined by the
+    strategy and by fallback bisection, and the pass's dependency levels."""
+    out = tmp_path / "out"
+    run("gen-mesh", "--grid", "nonconvex", "--out-dir", out)
+    capsys.readouterr()
+    assert run("refine", "--mesh", out / "mesh.txt", "--strategy", "mp", "--steps", 2, "--out-dir", out) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "step 1: 14 -> 98 elements (mp 12, fallback-bisect 2), 8 levels",
+        "step 2: 98 -> 605 elements (mp 90, fallback-bisect 8), 51 levels",
+        "refined mesh: 605 elements",
+    ]
+    assert run("refine", "--mesh", out / "mesh.txt", "--strategy", "mp", "--fraction", 0.2, "--out-dir", out) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "step 1: 14 -> 34 elements (mp 3, fallback-bisect 0), 3 levels"
+
+
 def test_refine_requires_model_for_cnn(tmp_path):
     out = tmp_path / "out"
     run("gen-mesh", "--grid", "triangles", "--out-dir", out, "--seed", 0)

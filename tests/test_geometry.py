@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from polyrefine.geometry import (
     area,
     area_centroid,
     centroid,
-    contains_many,
     corner_count,
     diameter,
     distance_to_boundary,
@@ -25,9 +25,9 @@ from polyrefine.geometry import (
     regular_polygon,
     segment_orientations,
     segments_straddle,
-    strictly_inside,
+    points_strictly_inside,
 )
-from conftest import is_convex, random_star_polygon, with_aligned_vertex
+from conftest import contains_many, is_convex, random_star_polygon, with_aligned_vertex
 
 
 def perimeter(p: Polygon) -> float:
@@ -120,17 +120,17 @@ def test_contains():
     assert contains_many(L_SHAPE, [(1.5, 1.5), (0.5, 0.5)], geom_tol(L_SHAPE)).tolist() == [False, True]
 
 
-def _strictly_inside_reference(p, q, margin=None):
-    """The two-call form `strictly_inside` replaced: distance, then containment."""
-    margin = geom_tol(p) if margin is None else margin
+def _strictly_inside_reference(p, q, margin):
+    """The two-call form: distance, then containment."""
     pt = np.asarray([[q[0], q[1]]], dtype=float)
     return bool(distance_to_boundary(p, pt)[0] > margin and contains_many(p, pt, tol=0.0)[0])
 
 
 def test_strictly_inside_matches_the_two_call_form(rng):
-    """Points on, near and off the boundary, among them vertices, edge
-    points, points a fraction or a multiple of the tolerance away along the
-    edge normal, and far points; margins None, 0, the tolerance and negative."""
+    """`points_strictly_inside` of all points of a polygon at once. Points
+    on, near and off the boundary, among them vertices, edge points, points a
+    fraction or a multiple of the tolerance away along the edge normal, and
+    far points; margins 0, the tolerance, three times it and negative."""
     polys = [SQUARE, SPLIT_SQUARE, L_SHAPE] + [random_star_polygon(rng) for _ in range(10)]
     for p in polys:
         tol = geom_tol(p)
@@ -139,9 +139,10 @@ def test_strictly_inside_matches_the_two_call_form(rng):
         pts = [a, 0.5 * (a + b), 0.3 * a + 0.7 * b, p.coords.mean(axis=0)[None], p.coords.min(axis=0)[None] - 1.0]
         pts += [0.5 * (a + b) + s * tol * normal for s in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
         pts += [rng.uniform(p.coords.min(axis=0) - 0.1, p.coords.max(axis=0) + 0.1, size=(20, 2))]
-        for q in np.concatenate(pts):
-            for margin in (None, 0.0, tol, 3.0 * tol, -1.0):
-                assert strictly_inside(p, q, margin) == _strictly_inside_reference(p, q, margin), (q, margin)
+        pts = np.concatenate(pts)
+        for margin in (0.0, tol, 3.0 * tol, -1.0):
+            want = [_strictly_inside_reference(p, q, margin) for q in pts]
+            assert points_strictly_inside(p.coords, pts, margin).tolist() == want, margin
 
 
 def test_is_convex():
@@ -311,6 +312,62 @@ def test_is_simple_is_exact_on_small_integers(pts):
         for j in range(i + 2, n - 1 if i == 0 else n)  # skip adjacent edges
     )
     assert geometry._is_simple(np.array(pts, dtype=float)) == (not meet)
+
+
+def _compensated_sum(xs):
+    """Neumaier's compensated float sum, as the built-in `sum` adds floats
+    from Python 3.12 on."""
+    s = c = 0.0
+    for x in xs:
+        t = s + x
+        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+    return s + c
+
+
+def test_touch_eps_adds_the_mean_up_in_order(rng):
+    # loops far from the origin, where a compensated sum of the coordinates
+    # rounds apart from an in-order one
+    apart = 0
+    for _ in range(400):
+        n = int(rng.integers(3, 40))
+        c = rng.normal(size=(n, 2)) + rng.uniform(-1e6, 1e6, size=2)
+        s = float(np.max(np.abs(c - c.mean(axis=0)))) + 1e-300
+        assert geometry._touch_eps(c.tolist()) == 1e-13 * s * s
+        m = np.array([_compensated_sum(c[:, 0].tolist()), _compensated_sum(c[:, 1].tolist())]) / n
+        t = float(np.max(np.abs(c - m))) + 1e-300
+        apart += 1e-13 * t * t != 1e-13 * s * s
+    assert apart > 40
+
+
+def test_loop_faults_of_a_stack_are_those_of_its_rows_and_of_polygon(rng):
+    loops = []
+    for k in range(60):
+        c = random_star_polygon(rng, 6, 6).coords.copy()
+        if k % 5 == 1:
+            c = c[::-1]  # clockwise
+        elif k % 5 == 2:
+            c[3] = c[2] * (1 + 1e-15)  # repeated vertex
+        elif k % 5 == 3:
+            c[:, 1] = 2.0 * c[:, 0]  # zero area
+        elif k % 5 == 4:
+            c[k % 6, k % 2] = (np.nan, np.inf, -np.inf)[k % 3]
+        loops.append(c)
+    areas, faults = geometry.loop_faults(np.stack(loops))
+    seen = set()
+    for g, c in enumerate(loops):
+        a, f = geometry.loop_faults(c)
+        assert np.array_equal(a, areas[g], equal_nan=True)
+        row = tuple(bool(x[g]) for x in faults)
+        assert tuple(map(bool, f)) == row
+        if any(row):
+            message = geometry.LOOP_FAULTS[row.index(True)]
+            seen.add(message)
+            with pytest.raises(PolygonError, match=re.escape(message)):
+                Polygon(c)
+        else:
+            assert np.array_equal(Polygon(c).coords, c if a > 0 else c[::-1])
+    assert seen == set(geometry.LOOP_FAULTS)
 
 
 def test_crossing_predicate_broadcasts_bit_identically(rng):

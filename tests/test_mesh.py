@@ -231,8 +231,9 @@ def test_refine_mesh_rejects_bad_marks():
 
 
 def test_a_refinement_pass_checks_each_child_once(monkeypatch):
-    """`refine_element` checks each child it creates; the pass checks no
-    loop again, neither the children nor the elements it left alone."""
+    """`refine_elements` checks each child it creates, with one scalar
+    simplicity test per child; the pass checks no loop again, neither the
+    children nor the elements it left alone."""
     m = generate_voronoi_grid(9, seed=0)
     calls = []
     is_simple = geometry._is_simple
@@ -275,25 +276,35 @@ def test_a_pass_classifies_the_loops_it_found_with_the_rasters_of_refine_time(
     """Three uniform passes: each takes its labels in one batch call, before
     it refines an element, and every marked element's raster then equals
     the raster of the loop it has when it is refined (hanging nodes
-    inserted by earlier elements of the pass included)."""
+    inserted by earlier elements of the pass included). The pass refines
+    level by level and replaces the elements of a level in order, so the
+    replaced ids, sorted, put the refined loops in marks order."""
     from polyrefine import mesh as mesh_module
     from polyrefine.raster import rasterize
 
-    refine_element = mesh_module.refine_element
-    at_refine = []
+    refine_elements, replace = mesh_module.refine_elements, mesh_module._WorkingMesh.replace
+    refined, replaced = [], []
 
-    def recording(p, strategy, classifier=None, rho=0.5, label=None):
-        at_refine.append((p, label))
-        return refine_element(p, strategy, classifier, rho, label)
+    def recording(polys, strategy, classifier=None, rho=0.5, labels=None):
+        refined.extend(zip(polys, labels))
+        return refine_elements(polys, strategy, classifier, rho, labels)
 
-    monkeypatch.setattr(mesh_module, "refine_element", recording)
+    def recording_replace(work, eid, res):
+        replaced.append(eid)
+        return replace(work, eid, res)
+
+    monkeypatch.setattr(mesh_module, "refine_elements", recording)
+    monkeypatch.setattr(mesh_module._WorkingMesh, "replace", recording_replace)
     m, grown = GRID_GENERATORS[grid](), 0
     for _ in range(3):
         classifier = _RecordingClassifier(trained.classify_polygons)
-        at_refine.clear()
+        refined.clear()
+        replaced.clear()
         new = refine_mesh(m, range(m.n_elements), strategy, classifier)
         ((found, labels),) = classifier.calls
         assert [q.coords.tolist() for q in found] == [m.vertices[loop].tolist() for loop in m.elements]
+        assert sorted(replaced) == list(range(m.n_elements)) and replaced != sorted(replaced)
+        at_refine = [pl for _, pl in sorted(zip(replaced, refined, strict=True), key=lambda t: t[0])]
         assert [label for _, label in at_refine] == labels
         for before, (now, _) in zip(found, at_refine, strict=True):
             assert np.array_equal(rasterize(before).pixels, rasterize(now).pixels)

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyrefine.cnn import generate_dataset
-from polyrefine.geometry import Polygon, contains_many, geom_tol
+from polyrefine.geometry import Polygon, geom_tol
 from polyrefine.mesh import GRID_GENERATORS, refine_mesh
 from polyrefine.raster import MARGIN, RESOLUTION, BinaryImage, rasterize
 from polyrefine.refine import Strategy
-from conftest import random_star_polygon, with_aligned_vertex
+from conftest import contains_many, random_star_polygon, with_aligned_vertex
 
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 

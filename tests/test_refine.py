@@ -249,14 +249,20 @@ def test_centroid_outside_falls_back(strategy, label):
 @pytest.mark.parametrize("strategy", [Strategy.MP, Strategy.CNN_MP, Strategy.CNN_RP])
 @pytest.mark.parametrize("label", [3, 4, 5])
 def test_invalid_partition_falls_back(strategy, label, monkeypatch):
-    # the strategies do not check their children; refine_element does, once
+    # the strategies do not check their children; refine_element does, once,
+    # by the stacked partition check that validate_partition is one case of
     pent = regular_polygon(5)
     res = refine_element(pent, strategy, lambda p: label)
     assert res.strategy_used != Strategy.FALLBACK_BISECT
     calls = []
-    monkeypatch.setattr(refine, "validate_partition", lambda p, c: calls.append(len(c)) or False)
+
+    def invalid(parents, diam, children, areas, means):
+        calls.append([len(c) for c in children])
+        return np.zeros(len(parents), bool)
+
+    monkeypatch.setattr(refine, "_partitions_valid", invalid)
     assert refine_element(pent, strategy, lambda p: label).strategy_used == Strategy.FALLBACK_BISECT
-    assert calls[0] == len(res.children)
+    assert calls[0] == [len(res.children)]
 
 
 def test_classifier_errors_propagate():
